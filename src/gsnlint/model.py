@@ -5,7 +5,8 @@ elements connected by supported_by / in_context_of relations) plus the
 registries of external items (hazards, requirements, risk acceptance
 criteria) and the artifacts the argumentation references.  Models are
 immutable after linking; all derived views (element index, argument-type
-membership, solution reachability) are computed lazily and cached.
+membership, solution reachability, trace index) are computed lazily and
+cached.
 """
 
 from __future__ import annotations
@@ -24,11 +25,6 @@ class ElementKind(str, enum.Enum):
     ASSUMPTION = "assumption"
     JUSTIFICATION = "justification"
 
-
-#: Kinds that never carry outgoing relations.
-SINK_KINDS = frozenset(
-    {ElementKind.SOLUTION, ElementKind.CONTEXT, ElementKind.ASSUMPTION, ElementKind.JUSTIFICATION}
-)
 
 #: Kinds attached via in_context_of.
 CONTEXTUAL_KINDS = frozenset(
@@ -318,10 +314,6 @@ class GsnModel:
         return {a.id: a for a in self.artifacts}
 
     @cached_property
-    def element_module(self) -> dict[str, str]:
-        return {e.id: m.id for m in self.modules for e in m.elements}
-
-    @cached_property
     def support_parents(self) -> dict[str, list[str]]:
         parents: dict[str, list[str]] = {eid: [] for eid in self.index}
         for element in self.index.values():
@@ -409,6 +401,15 @@ class GsnModel:
                     backed[eid] = True
                     break
         return backed
+
+    @cached_property
+    def item_tracers(self) -> dict[str, tuple[str, ...]]:
+        """Registry item id -> sorted ids of the elements whose traces name it."""
+        tracers: dict[str, list[str]] = {}
+        for eid, element in self.index.items():
+            for item_id in element.traces:
+                tracers.setdefault(item_id, []).append(eid)
+        return {item_id: tuple(sorted(eids)) for item_id, eids in tracers.items()}
 
     @cached_property
     def support_edges(self) -> list[tuple[str, str]]:

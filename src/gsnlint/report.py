@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .findings import Finding, Severity, count_by_severity
 from .model import ArgumentType, ElementKind, GsnModel
-from .trace import TraceMatrix
+from .trace import TraceMatrix, matrix_to_dict
 
 _SHAPES = {
     ElementKind.GOAL: ("box", ""),
@@ -91,20 +91,7 @@ def emit_findings_json(bundle: ReportBundle, indent: int = 2) -> str:
         "summary": bundle.summary,
     }
     if bundle.matrices:
-        data["matrices"] = [
-            {
-                "registry": m.registry_name,
-                "coverage": m.coverage,
-                "vacuous": m.vacuous,
-                "rows": [
-                    {"item_id": r.item_id, "covered": r.covered,
-                     "solution_backed": r.solution_backed,
-                     "covering_elements": list(r.covering_elements)}
-                    for r in m.rows
-                ],
-            }
-            for m in bundle.matrices
-        ]
+        data["matrices"] = [matrix_to_dict(m) for m in bundle.matrices]
     if bundle.acp_report:
         data["acp_report"] = bundle.acp_report
     if bundle.evidence_report:

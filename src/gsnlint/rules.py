@@ -24,6 +24,7 @@ from .model import (
     RoleTag,
     HazardStatus,
 )
+from .trace import trace_registry
 from .wellformed import check_wellformed
 
 TOP_CLAIM_PHRASE = "absence of unreasonable risk"
@@ -222,16 +223,6 @@ class _Ctx:
     def solution_backed(self, element_id: str) -> bool:
         return self.model.has_solution_descendant[element_id]
 
-    def tracing_elements(self, item_id: str, subset: set[str],
-                         role: Optional[RoleTag] = None) -> list[str]:
-        """Subset members tracing a registry item, optionally role-filtered."""
-        out = []
-        for eid in subset:
-            element = self.model.index[eid]
-            if item_id in element.traces and (role is None or role in element.roles):
-                out.append(eid)
-        return sorted(out)
-
     def role_members(self, subset: set[str], role: RoleTag) -> list[str]:
         return sorted(eid for eid in subset if role in self.model.index[eid].roles)
 
@@ -285,37 +276,33 @@ def _rule_r2(ctx: _Ctx) -> list[Finding]:
     return findings
 
 
-def _coverage_rule(ctx: _Ctx, rule: str, registry_name: str, items,
-                   subset: set[str],
-                   extra_reasons: Optional[Callable] = None,
-                   role: Optional[RoleTag] = None) -> list[Finding]:
-    """One Error per registry item that is untraced, solution-less, or
-    failed by extra_reasons; empty registries pass vacuously with a warning."""
-    if not items:
+def _coverage_rule(ctx: _Ctx, rule: str, registry_name: str,
+                   extra_reasons: Optional[Callable] = None) -> list[Finding]:
+    """One Error per registry item whose trace matrix row is uncovered, not
+    solution-backed, or failed by extra_reasons; empty registries pass
+    vacuously with a warning."""
+    matrix = trace_registry(ctx.model, registry_name)
+    if matrix.vacuous:
         return [_vacuous(rule, registry_name)]
     findings = []
-    for item in items:
-        tracers = ctx.tracing_elements(item.id, subset, role)
+    for item, row in zip(getattr(ctx.model.registries, registry_name), matrix.rows):
         reasons = []
-        if not tracers:
+        if not row.covered:
             reasons.append("not traced from the relevant argument")
-        elif not any(ctx.solution_backed(t) for t in tracers):
+        elif not row.solution_backed:
             reasons.append("tracing elements lack supporting solutions")
         if extra_reasons:
-            reasons.extend(extra_reasons(item, tracers))
+            reasons.extend(extra_reasons(item))
         if reasons:
             findings.append(Finding(
                 rule, Severity.ERROR,
                 f"{registry_name} item '{item.id}': " + "; ".join(reasons),
-                tuple(tracers)))
+                row.covering_elements))
     return findings
 
 
 def _rule_r3(ctx: _Ctx) -> list[Finding]:
-    return _coverage_rule(
-        ctx, "R3", "regulatory_requirements",
-        ctx.model.registries.regulatory_requirements,
-        ctx.subset(ArgumentType.COMPLIANCE))
+    return _coverage_rule(ctx, "R3", "regulatory_requirements")
 
 
 def _rule_r4(ctx: _Ctx) -> list[Finding]:
@@ -323,15 +310,13 @@ def _rule_r4(ctx: _Ctx) -> list[Finding]:
     has_rationale_element = bool(
         ctx.role_members(conformance, RoleTag.SELECTION_RATIONALE))
 
-    def rationale_missing(item, tracers):
+    def rationale_missing(item):
         if not item.selection_rationale and not has_rationale_element:
             return ["no selection rationale recorded for the normative document"]
         return []
 
-    return _coverage_rule(
-        ctx, "R4", "normative_requirements",
-        ctx.model.registries.normative_requirements,
-        conformance, extra_reasons=rationale_missing)
+    return _coverage_rule(ctx, "R4", "normative_requirements",
+                          extra_reasons=rationale_missing)
 
 
 def _rule_r5(ctx: _Ctx) -> list[Finding]:
@@ -357,13 +342,14 @@ def _rule_r5(ctx: _Ctx) -> list[Finding]:
 
 
 def _rule_r6(ctx: _Ctx) -> list[Finding]:
-    hazards = ctx.model.registries.hazards
-    if not hazards:
+    matrix = trace_registry(ctx.model, "hazards")
+    if matrix.vacuous:
         return [_vacuous("R6", "hazards")]
-    product = ctx.subset(ArgumentType.PRODUCT)
+    index = ctx.model.index
     findings = []
-    for hazard in hazards:
-        tracers = ctx.tracing_elements(hazard.id, product, RoleTag.HAZARD_MANAGEMENT)
+    for hazard, row in zip(ctx.model.registries.hazards, matrix.rows):
+        tracers = tuple(eid for eid in row.covering_elements
+                        if RoleTag.HAZARD_MANAGEMENT in index[eid].roles)
         reasons = []
         if hazard.status is HazardStatus.OPEN:
             reasons.append("status is open")
@@ -375,7 +361,7 @@ def _rule_r6(ctx: _Ctx) -> list[Finding]:
         if reasons:
             findings.append(Finding(
                 "R6", Severity.ERROR,
-                f"hazard '{hazard.id}': " + "; ".join(reasons), tuple(tracers)))
+                f"hazard '{hazard.id}': " + "; ".join(reasons), tracers))
     return findings
 
 
@@ -467,12 +453,13 @@ def _rule_st1(ctx: _Ctx) -> list[Finding]:
 
 
 def _rule_d1(ctx: _Ctx) -> list[Finding]:
-    criteria = ctx.model.registries.risk_acceptance_criteria
-    if not criteria:
+    matrix = trace_registry(ctx.model, "risk_acceptance_criteria")
+    if matrix.vacuous:
         return [_vacuous("D1", "risk_acceptance_criteria")]
-    product = ctx.subset(ArgumentType.PRODUCT)
     findings = []
-    by_level = {level: [c for c in criteria if c.level is level] for level in RacLevel}
+    by_level: dict[RacLevel, list] = {level: [] for level in RacLevel}
+    for criterion, row in zip(ctx.model.registries.risk_acceptance_criteria, matrix.rows):
+        by_level[criterion.level].append(row)
     for level in RacLevel:
         if not by_level[level]:
             findings.append(Finding(
@@ -480,17 +467,16 @@ def _rule_d1(ctx: _Ctx) -> list[Finding]:
                 f"no {level.value} risk acceptance criterion is defined"))
     rac_roles = (RoleTag.RAC_DEFINE, RoleTag.RAC_EVALUATE, RoleTag.RAC_MAINTAIN)
     for level in RacLevel:
-        level_tracers: set[str] = set()
-        for item in by_level[level]:
-            tracers = ctx.tracing_elements(item.id, product)
-            if not tracers:
-                findings.append(Finding(
-                    "D1", Severity.ERROR,
-                    f"risk acceptance criterion '{item.id}' is not traced from the "
-                    f"product argument"))
-            level_tracers.update(tracers)
         if not by_level[level]:
             continue
+        level_tracers: set[str] = set()
+        for row in by_level[level]:
+            if not row.covered:
+                findings.append(Finding(
+                    "D1", Severity.ERROR,
+                    f"risk acceptance criterion '{row.item_id}' is not traced from the "
+                    f"product argument"))
+            level_tracers.update(row.covering_elements)
         covered = set()
         for eid in level_tracers:
             covered |= set(ctx.model.index[eid].roles) & set(rac_roles)

@@ -53,13 +53,9 @@ def trace_registry(model: GsnModel, registry_name: str) -> TraceMatrix:
     if registry_name not in REGISTRY_SUBSETS:
         raise UnknownRegistryError(registry_name)
     subset = model.argument_subset(REGISTRY_SUBSETS[registry_name])
-    tracing: dict[str, list[str]] = {}
-    for eid in subset:
-        for item_id in model.index[eid].traces:
-            tracing.setdefault(item_id, []).append(eid)
     rows = []
     for item_id in model.registries.item_ids(registry_name):
-        covering = tuple(sorted(tracing.get(item_id, [])))
+        covering = tuple(eid for eid in model.item_tracers.get(item_id, ()) if eid in subset)
         backed = any(model.has_solution_descendant[eid] for eid in covering)
         rows.append(TraceRow(item_id, covering, backed))
     if not rows:
@@ -79,8 +75,9 @@ def matrix_to_csv(matrix: TraceMatrix) -> str:
     return buffer.getvalue()
 
 
-def matrix_to_json(matrix: TraceMatrix, indent: int = 2) -> str:
-    data = {
+def matrix_to_dict(matrix: TraceMatrix) -> dict:
+    """Plain-data form of a matrix, shared by every JSON output."""
+    return {
         "registry": matrix.registry_name,
         "coverage": matrix.coverage,
         "vacuous": matrix.vacuous,
@@ -91,7 +88,10 @@ def matrix_to_json(matrix: TraceMatrix, indent: int = 2) -> str:
             for r in matrix.rows
         ],
     }
-    return json.dumps(data, indent=indent)
+
+
+def matrix_to_json(matrix: TraceMatrix, indent: int = 2) -> str:
+    return json.dumps(matrix_to_dict(matrix), indent=indent)
 
 
 def acp_report(model: GsnModel) -> dict:
