@@ -1,8 +1,9 @@
 """Command-line front end: parse -> wellformed -> rules -> trace -> report.
 
 Exit codes: 0 when no Error finding, 1 when at least one Error finding
-(or, with --strict-warnings, a Warning), 2 on parse or usage failure.
-Reports go to stdout, diagnostics to stderr.
+(or, with --strict-warnings, a Warning), 2 on parse or usage failure or
+when an output file cannot be written.  Reports go to stdout, diagnostics
+to stderr.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ def _load_or_exit(paths: tuple[str, ...], lenient: bool):
     if model is None:
         sys.exit(2)
     return model
+
+
+def _write_or_exit(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        click.echo(f"cannot write '{path}': {exc.strerror}", err=True)
+        sys.exit(2)
 
 
 @click.group()
@@ -108,14 +117,9 @@ def scaffold(out_path, top_claim, no_samples, split, force) -> None:
         if target.exists() and not force:
             click.echo(f"refusing to overwrite '{target}' (use --force)", err=True)
             sys.exit(2)
-    try:
-        out.write_text(serialize_model(model, include_registries=not split),
-                       encoding="utf-8")
-        if split:
-            targets[1].write_text(serialize_registries(model), encoding="utf-8")
-    except OSError as exc:
-        click.echo(f"cannot write '{out_path}': {exc.strerror}", err=True)
-        sys.exit(2)
+    _write_or_exit(out_path, serialize_model(model, include_registries=not split))
+    if split:
+        _write_or_exit(targets[1], serialize_registries(model))
     count = len(model.index)
     click.echo(f"wrote {' and '.join(str(t) for t in targets)} ({count} elements)")
 
@@ -146,7 +150,7 @@ def render(paths, out_path, color_by_type, lenient) -> None:
     model = _load_or_exit(paths, lenient)
     dot = render_dot(model, by_argument_type_color=color_by_type)
     if out_path:
-        Path(out_path).write_text(dot, encoding="utf-8")
+        _write_or_exit(out_path, dot)
     else:
         click.echo(dot, nl=False)
 

@@ -265,28 +265,34 @@ def find_structural_problems(modules: Iterable[GsnModule]) -> list[StructuralPro
 
 
 def _find_cycles(index: dict[str, GsnElement]) -> list[tuple[str, ...]]:
-    """Cycles of the supported_by relation, each reported once."""
-    color: dict[str, int] = {}  # 0 unvisited, 1 on stack, 2 done
+    """Cycles of the supported_by relation, each reported once.
+
+    Iterative depth-first search with an explicit path, so chain depth is
+    unbounded; starts in index order, children in declared order.
+    """
+    done: set[str] = set()
+    on_path: dict[str, int] = {}  # element on the current path -> its position
     cycles: list[tuple[str, ...]] = []
-    stack: list[str] = []
-
-    def visit(node: str) -> None:
-        color[node] = 1
-        stack.append(node)
-        for child in index[node].supported_by:
-            if child not in index:
-                continue
-            state = color.get(child, 0)
-            if state == 0:
-                visit(child)
-            elif state == 1:
-                cycles.append(tuple(stack[stack.index(child):]))
-        stack.pop()
-        color[node] = 2
-
-    for node in index:
-        if color.get(node, 0) == 0:
-            visit(node)
+    for start in index:
+        if start in done:
+            continue
+        path = [start]
+        on_path[start] = 0
+        children = [iter(index[start].supported_by)]
+        while children:
+            for child in children[-1]:
+                if child in on_path:
+                    cycles.append(tuple(path[on_path[child]:]))
+                elif child in index and child not in done:
+                    on_path[child] = len(path)
+                    path.append(child)
+                    children.append(iter(index[child].supported_by))
+                    break
+            else:
+                children.pop()
+                node = path.pop()
+                del on_path[node]
+                done.add(node)
     return cycles
 
 
@@ -411,10 +417,6 @@ class GsnModel:
                 tracers.setdefault(item_id, []).append(eid)
         return {item_id: tuple(sorted(eids)) for item_id, eids in tracers.items()}
 
-    @cached_property
-    def support_edges(self) -> list[tuple[str, str]]:
-        return [(e.id, child) for e in self.iter_elements() for child in e.supported_by]
-
     # -- operations ---------------------------------------------------
 
     def iter_elements(self) -> Iterable[GsnElement]:
@@ -432,28 +434,23 @@ class GsnModel:
 
     def descendants(self, element_id: str) -> set[str]:
         """Transitive supported_by closure plus contextual sinks, start excluded."""
-        start = self.resolve(element_id)
-        seen: set[str] = set(start.in_context_of)
-        frontier = list(start.supported_by)
+        self.resolve(element_id)
+        return self.reachable_from((element_id,)) - {element_id}
+
+    def reachable_from(self, element_ids: Iterable[str]) -> set[str]:
+        """The given elements, their transitive supported_by closure, and the
+        in_context_of targets of every element in it, in one shared pass."""
+        seen: set[str] = set()
+        frontier = [eid for eid in element_ids if eid in self.index]
         while frontier:
             eid = frontier.pop()
-            if eid in seen or eid not in self.index:
+            if eid in seen:
                 continue
             seen.add(eid)
             element = self.index[eid]
             seen.update(c for c in element.in_context_of if c in self.index)
-            frontier.extend(element.supported_by)
-        seen.discard(element_id)
+            frontier.extend(c for c in element.supported_by if c in self.index)
         return seen
-
-    def reachable_from(self, element_ids: Iterable[str]) -> set[str]:
-        """Union of the given elements and all their descendants."""
-        out: set[str] = set()
-        for eid in element_ids:
-            if eid in self.index:
-                out.add(eid)
-                out |= self.descendants(eid)
-        return out
 
 
 def link_model(

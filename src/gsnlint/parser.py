@@ -38,13 +38,7 @@ from .model import (
 
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-_TOP_KEYS = {"model", "modules", "registries", "artifacts"}
-_MODEL_KEYS = {"id", "version", "fragmentary"}
-_ELEMENT_KEYS = {"id", "kind", "text", "undeveloped", "argument_type", "roles",
-                 "supported_by", "in_context_of", "traces", "artifacts", "acp"}
 _ACP_KEYS = {"target", "relation", "confidence_goal"}
-_REGISTRY_KEYS = {"hazards", "regulatory_requirements", "normative_requirements",
-                  "risk_acceptance_criteria", "context_dimensions"}
 _ARTIFACT_KEYS = {"id", "role", "title", "uri", "dimension"}
 
 
@@ -420,10 +414,10 @@ def load_model(
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 documents.append((str(path), handle.read()))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
             diags.append(ParseDiagnostic(
-                Severity.ERROR, "io", f"cannot read '{path}': {exc.strerror}",
-                str(path)))
+                Severity.ERROR, "io", f"cannot read '{path}': {reason}", str(path)))
     if diags:
         return None, diags
     return parse_model(documents, lenient=lenient)

@@ -243,7 +243,7 @@ def _rule_r1(ctx: _Ctx) -> list[Finding]:
         topmost = sorted(
             m for m in risk
             if not any(p in risk for p in ctx.model.support_parents[m]))
-        reachable = {root.id} | ctx.model.descendants(root.id)
+        reachable = ctx.model.reachable_from((root.id,))
         if not any(t in reachable for t in topmost):
             findings.append(Finding(
                 "R1", Severity.ERROR,
@@ -550,6 +550,18 @@ def _apply_overrides(findings: list[Finding], profile: RuleProfile) -> list[Find
     return out
 
 
+def _run_rules(model: GsnModel, profile: RuleProfile, findings: list[Finding],
+               requirements: bool = True) -> list[Finding]:
+    """The one rule loop: add the profile's requirement rules to `findings`
+    (unless `requirements` is off), apply severity overrides, and sort."""
+    if requirements:
+        ctx = _Ctx(model)
+        for rule, fn in _RULE_FUNCTIONS.items():
+            if rule in profile.enabled_rules:
+                findings.extend(fn(ctx))
+    return sort_findings(_apply_overrides(findings, profile))
+
+
 def check_requirements(model: GsnModel, profile: RuleProfile) -> list[Finding]:
     """Evaluate the profile's requirement rules on a well-formed model.
 
@@ -561,12 +573,7 @@ def check_requirements(model: GsnModel, profile: RuleProfile) -> list[Finding]:
     for rule in profile.enabled_rules:
         if rule not in CATALOG:
             raise UnknownRuleError(f"unknown rule id '{rule}'")
-    ctx = _Ctx(model)
-    findings: list[Finding] = []
-    for rule, fn in _RULE_FUNCTIONS.items():
-        if rule in profile.enabled_rules:
-            findings.extend(fn(ctx))
-    return sort_findings(_apply_overrides(findings, profile))
+    return _run_rules(model, profile, [])
 
 
 def evaluate(model: GsnModel, profile: RuleProfile) -> list[Finding]:
@@ -576,15 +583,9 @@ def evaluate(model: GsnModel, profile: RuleProfile) -> list[Finding]:
     well-formedness findings are the result in that case.
     """
     wf = check_wellformed(model)
-    findings = [f for f in wf if f.rule in profile.enabled_rules]
-    wf_errors = [f for f in wf if f.severity is Severity.ERROR]
-    if wf_errors:
-        # Requirement rules are meaningless on an ill-formed model; surface
-        # the blocking errors even when the profile excludes WF rules.
-        findings.extend(f for f in wf_errors if f.rule not in profile.enabled_rules)
-    else:
-        ctx = _Ctx(model)
-        for rule, fn in _RULE_FUNCTIONS.items():
-            if rule in profile.enabled_rules:
-                findings.extend(fn(ctx))
-    return sort_findings(_apply_overrides(findings, profile))
+    ill_formed = any(f.severity is Severity.ERROR for f in wf)
+    # Requirement rules are meaningless on an ill-formed model; surface
+    # the blocking errors even when the profile excludes WF rules.
+    findings = [f for f in wf
+                if f.rule in profile.enabled_rules or f.severity is Severity.ERROR]
+    return _run_rules(model, profile, findings, requirements=not ill_formed)

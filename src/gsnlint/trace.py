@@ -97,7 +97,7 @@ def matrix_to_json(matrix: TraceMatrix, indent: int = 2) -> str:
 def acp_report(model: GsnModel) -> dict:
     """Assurance-claim-point placement statistics over the risk argument."""
     risk = model.argument_subset(ArgumentType.RISK)
-    risk_edges = [(src, dst) for src, dst in model.support_edges if src in risk]
+    risk_edges = sum(len(e.supported_by) for e in model.iter_elements() if e.id in risk)
     acp_edges = 0
     total_acps = 0
     referenced_goals: set[str] = set()
@@ -111,10 +111,10 @@ def acp_report(model: GsnModel) -> dict:
     unlinked = sorted(
         eid for eid in confidence
         if model.index[eid].kind is ElementKind.GOAL and eid not in referenced_goals)
-    density = acp_edges / len(risk_edges) if risk_edges else 0.0
+    density = acp_edges / risk_edges if risk_edges else 0.0
     return {
         "total_acps": total_acps,
-        "risk_edges": len(risk_edges),
+        "risk_edges": risk_edges,
         "acp_density": density,
         "unlinked_confidence_goals": unlinked,
     }

@@ -73,6 +73,14 @@ class TestCheck:
         result = runner.invoke(main, ["check", "no-such-file.sac.yaml"])
         assert result.exit_code == 2
 
+    def test_non_utf8_input_exits_two(self, runner, tmp_path):
+        path = tmp_path / "latin1.sac.yaml"
+        path.write_bytes(b"model: {id: caf\xe9}\n")
+        result = runner.invoke(main, ["check", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"cannot read '{path}': not UTF-8 text" in result.stderr
+
     def test_multi_document_input(self, runner):
         result = runner.invoke(main, [
             "check",
@@ -109,6 +117,16 @@ class TestScaffold:
         assert registries.exists()
         check = runner.invoke(main, ["check", str(out), str(registries)])
         assert check.exit_code == 0, check.output
+
+    def test_unwritable_registries_file_is_named(self, runner, tmp_path):
+        out = tmp_path / "model.sac.yaml"
+        registries = tmp_path / "model-registries.sac.yaml"
+        registries.mkdir()
+        result = runner.invoke(main, ["scaffold", "--split", "--force", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(f"cannot write '{registries}': ")
 
     def test_no_samples_variant(self, runner, tmp_path):
         out = tmp_path / "model.sac.yaml"
@@ -152,6 +170,14 @@ class TestRender:
                                       fixture("03-chain.sac.yaml")])
         assert result.exit_code == 0
         parse_dot(out.read_text())
+
+    def test_unwritable_output_exits_two(self, runner, tmp_path):
+        out = tmp_path / "no" / "such" / "dir" / "x.dot"
+        result = runner.invoke(main, ["render", "-o", str(out),
+                                      fixture("03-chain.sac.yaml")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"cannot write '{out}': No such file or directory\n"
 
 
 class TestRules:

@@ -1,0 +1,311 @@
+"""The graph-traversal layer against reference implementations and networkx.
+
+`model._find_cycles` (WF1 and the parser's `cycle` diagnostics) and
+`GsnModel.reachable_from` (R1, R5, ST1 and `descendants`) are iterative.
+The references below are the recursive cycle finder and the per-start
+reachability they replaced; networkx is an independent oracle used here
+only, never at run time.
+"""
+
+from __future__ import annotations
+
+import random
+
+import networkx as nx
+import yaml
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gsnlint.cli import main
+from gsnlint.findings import Severity
+from gsnlint.model import (
+    ArgumentType,
+    ElementKind,
+    GsnElement,
+    GsnModel,
+    GsnModule,
+    RoleTag,
+    _find_cycles,
+)
+from gsnlint.parser import load_model, parse_model
+from gsnlint.rules import evaluate, make_profile
+from gsnlint.wellformed import check_wellformed
+
+from conftest import good_fixture_groups
+from genmodels import random_model
+
+
+# -- references ------------------------------------------------------
+
+
+def reference_find_cycles(index: dict[str, GsnElement]) -> list[tuple[str, ...]]:
+    """The recursive cycle finder; fails past Python's recursion limit."""
+    color: dict[str, int] = {}  # 0 unvisited, 1 on stack, 2 done
+    cycles: list[tuple[str, ...]] = []
+    stack: list[str] = []
+
+    def visit(node: str) -> None:
+        color[node] = 1
+        stack.append(node)
+        for child in index[node].supported_by:
+            if child not in index:
+                continue
+            state = color.get(child, 0)
+            if state == 0:
+                visit(child)
+            elif state == 1:
+                cycles.append(tuple(stack[stack.index(child):]))
+        stack.pop()
+        color[node] = 2
+
+    for node in index:
+        if color.get(node, 0) == 0:
+            visit(node)
+    return cycles
+
+
+def reference_descendants(model: GsnModel, element_id: str) -> set[str]:
+    """One traversal per call, as descendants() was before the shared pass."""
+    start = model.resolve(element_id)
+    seen: set[str] = set(start.in_context_of)
+    frontier = list(start.supported_by)
+    while frontier:
+        eid = frontier.pop()
+        if eid in seen or eid not in model.index:
+            continue
+        seen.add(eid)
+        element = model.index[eid]
+        seen.update(c for c in element.in_context_of if c in model.index)
+        frontier.extend(element.supported_by)
+    seen.discard(element_id)
+    return seen
+
+
+def reference_reachable_from(model: GsnModel, element_ids) -> set[str]:
+    out: set[str] = set()
+    for eid in element_ids:
+        if eid in model.index:
+            out.add(eid)
+            out |= reference_descendants(model, eid)
+    return out
+
+
+def support_digraph(index: dict[str, GsnElement]) -> nx.DiGraph:
+    graph = nx.DiGraph()
+    graph.add_nodes_from(index)
+    graph.add_edges_from((e.id, child) for e in index.values()
+                         for child in e.supported_by if child in index)
+    return graph
+
+
+def random_graph(rng: random.Random) -> dict[str, GsnElement]:
+    """Up to 15 elements with random supported_by lists: cycles, self-loops,
+    repeated children and references to ids that do not exist."""
+    ids = [f"E{i}" for i in range(rng.randint(1, 15))]
+    targets = ids + ["X1", "X2"]
+    return {eid: GsnElement(
+        eid, ElementKind.GOAL,
+        supported_by=tuple(rng.choice(targets) for _ in range(rng.randint(0, 3))))
+        for eid in ids}
+
+
+def wellformed_models() -> list[tuple[str, GsnModel]]:
+    models = [(f"random-{seed}", random_model(seed)) for seed in range(100)]
+    for name, paths in good_fixture_groups():
+        model, _ = load_model([str(p) for p in paths])
+        models.append((name, model))
+    return [(name, model) for name, model in models
+            if not any(f.severity is Severity.ERROR for f in check_wellformed(model))]
+
+
+def chain(depth: int, close: bool = False) -> dict[str, GsnElement]:
+    """G0 -> G1 -> ... -> G<depth-1>, optionally closed back to G0."""
+    index = {f"G{i}": GsnElement(f"G{i}", ElementKind.GOAL, supported_by=(f"G{i + 1}",))
+             for i in range(depth - 1)}
+    last = f"G{depth - 1}"
+    index[last] = GsnElement(last, ElementKind.GOAL, supported_by=("G0",) if close else ())
+    return index
+
+
+# -- cycles ----------------------------------------------------------
+
+
+class TestCycles:
+    def test_matches_recursive_reference_on_random_graphs(self):
+        rng = random.Random(3)
+        for _ in range(3000):
+            index = random_graph(rng)
+            assert _find_cycles(index) == reference_find_cycles(index), index
+
+    def test_networkx_oracle(self):
+        rng = random.Random(11)
+        for _ in range(1000):
+            index = random_graph(rng)
+            graph = support_digraph(index)
+            cycles = _find_cycles(index)
+            assert bool(cycles) == (not nx.is_directed_acyclic_graph(graph)), index
+            for cycle in cycles:
+                assert len(set(cycle)) == len(cycle)
+                for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
+                    assert graph.has_edge(src, dst), (cycle, index)
+
+    def test_chain_past_the_recursion_limit(self):
+        assert _find_cycles(chain(5000)) == []
+        cycles = _find_cycles(chain(5000, close=True))
+        assert cycles == [tuple(f"G{i}" for i in range(5000))]
+
+
+# -- reachability ----------------------------------------------------
+
+
+class TestReachability:
+    def test_matches_per_start_reference(self):
+        for name, model in wellformed_models():
+            for eid in model.index:
+                assert model.descendants(eid) == reference_descendants(model, eid), \
+                    (name, eid)
+            for argument_type in ArgumentType:
+                subset = model.argument_subset(argument_type)
+                assert model.reachable_from(subset) == \
+                    reference_reachable_from(model, subset), (name, argument_type)
+            everything = [*model.index, "no-such-id"]
+            assert model.reachable_from(everything) == \
+                reference_reachable_from(model, everything), name
+
+    def test_networkx_oracle(self):
+        for name, model in wellformed_models():
+            graph = support_digraph(model.index)
+            for argument_type in ArgumentType:
+                subset = model.argument_subset(argument_type)
+                closure = set(subset)
+                for eid in subset:
+                    closure |= nx.descendants(graph, eid)
+                expected = closure | {c for eid in closure
+                                      for c in model.index[eid].in_context_of}
+                assert model.reachable_from(subset) == expected, (name, argument_type)
+
+
+# -- contracts: parse_model and evaluate never raise ----------------------
+
+@st.composite
+def element_lists(draw) -> list[dict]:
+    """Elements E0..En-1 of random kinds, types, roles, traces and ACPs.
+
+    A tame list links each element only to later ones, so it parses; a wild
+    one may also hold cycles, self-loops, duplicate ids, dangling
+    references and an unknown kind.
+    """
+    n = draw(st.integers(1, 10))
+    ids = [f"E{i}" for i in range(n)]
+    wild = draw(st.booleans())
+    kinds = [k.value for k in ElementKind] + (["bogus"] if wild else [])
+    elements = []
+    for i, eid in enumerate(ids):
+        targets = ids + ["X9"] if wild else ids[i + 1:]
+        refs = st.lists(st.sampled_from(targets), max_size=3) if targets else st.just([])
+        element = draw(st.fixed_dictionaries(
+            {"id": st.sampled_from(ids) if wild else st.just(eid),
+             "kind": st.sampled_from(kinds)},
+            optional={
+                "text": st.text(max_size=5),
+                "supported_by": refs,
+                "in_context_of": refs,
+                "argument_type": st.sampled_from([t.value for t in ArgumentType]),
+                "roles": st.lists(st.sampled_from([r.value for r in RoleTag]),
+                                  max_size=2),
+                "undeveloped": st.booleans(),
+                "traces": st.lists(st.sampled_from(["H1", "R1", "N1", "RAC1"]),
+                                   max_size=2),
+                "artifacts": st.lists(st.sampled_from(["EV1", "CD1", "X9"]), max_size=2),
+            }))
+        elements.append(element)
+    # A tame ACP sits on a declared relation and names a goal.
+    goals = [e["id"] for e in elements if wild or e["kind"] == "goal"]
+    for element in elements:
+        relation = draw(st.sampled_from(["supported_by", "in_context_of"]))
+        targets = ids + ["X9"] if wild else element.get(relation)
+        if goals and targets and draw(st.booleans()):
+            element["acp"] = [{"target": draw(st.sampled_from(targets)),
+                               "relation": relation,
+                               "confidence_goal": draw(st.sampled_from(goals))}]
+    return elements
+
+
+_REGISTRIES = {
+    "hazards": [{"id": "H1", "description": "d", "status": "managed"}],
+    "regulatory_requirements": [{"id": "R1", "source": "s", "text": "t"}],
+    "normative_requirements": [{"id": "N1", "source": "s", "text": "t"}],
+    "risk_acceptance_criteria": [{"id": "RAC1", "level": "global", "text": "t"}],
+}
+_ARTIFACTS = [{"id": "EV1", "role": "evidence"},
+              {"id": "CD1", "role": "context_doc", "dimension": "odd"}]
+_YAML_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["model", "modules", "id", "elements", "kind",
+                                       "supported_by", "registries", "hazards"]),
+                      inner, max_size=3),
+    max_leaves=12)
+_SETTINGS = settings(max_examples=200, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def _parse_and_evaluate(document) -> None:
+    text = yaml.safe_dump(document, sort_keys=False)
+    model, diags = parse_model([("case.sac.yaml", text)])
+    assert (model is None) == any(d.severity is Severity.ERROR for d in diags)
+    if model is not None:
+        for profile in ("all", "core"):
+            evaluate(model, make_profile(profile))
+
+
+class TestNeverRaises:
+    @_SETTINGS
+    @given(elements=element_lists(), split=st.integers(0, 10),
+           with_registries=st.booleans())
+    def test_random_element_graphs(self, elements, split, with_registries):
+        document = {"model": {"id": "case"},
+                    "modules": [{"id": "m0", "elements": elements[:split]},
+                                {"id": "m1", "elements": elements[split:]}]}
+        if with_registries:
+            document["registries"] = _REGISTRIES
+            document["artifacts"] = _ARTIFACTS
+        _parse_and_evaluate(document)
+
+    @_SETTINGS
+    @given(document=_YAML_DATA)
+    def test_random_yaml_trees(self, document):
+        _parse_and_evaluate(document)
+
+
+# -- deep chains -----------------------------------------------------
+
+
+def chain_yaml(depth: int) -> str:
+    """A supported_by chain of `depth` goals ending in one solution, written
+    directly because serialize_model is slow at this size."""
+    lines = ["model: {id: chain}", "modules:", "  - id: main", "    elements:",
+             "      - {id: G0, kind: goal, text: root, argument_type: risk, "
+             "supported_by: [G1]}"]
+    lines += [f"      - {{id: G{i}, kind: goal, text: claim, supported_by: [G{i + 1}]}}"
+              for i in range(1, depth - 1)]
+    lines += [f"      - {{id: G{depth - 1}, kind: goal, text: claim, supported_by: [SN]}}",
+              "      - {id: SN, kind: solution, text: evidence}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_ten_thousand_goal_chain(tmp_path):
+    depth = 10_000
+    path = tmp_path / "chain.sac.yaml"
+    path.write_text(chain_yaml(depth), encoding="utf-8")
+    model, diags = load_model([str(path)])
+    assert model is not None, diags
+    assert len(model.descendants("G0")) == depth
+    findings = evaluate(model, make_profile("all"))
+    assert not any(f.rule.startswith("WF") and f.severity is Severity.ERROR
+                   for f in findings)
+    assert any(f.severity is Severity.ERROR for f in findings)
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1, result.output
