@@ -2,8 +2,8 @@
 
 Exit codes: 0 when no Error finding, 1 when at least one Error finding
 (or, with --strict-warnings, a Warning), 2 on parse or usage failure or
-when an output file cannot be written.  Reports go to stdout, diagnostics
-to stderr.
+when an output file cannot be written, 3 on an unexpected exception (an
+internal error).  Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -56,7 +56,23 @@ def _write_or_exit(path: str | Path, text: str) -> None:
         sys.exit(2)
 
 
-@click.group()
+class _Main(click.Group):
+    """Turns an unexpected exception into one stderr line and exit code 3,
+    so a crash never reads as exit 1 ("Error findings")."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort, click.ClickException, BrokenPipeError):
+            # Click's own control flow (Exit and Abort are RuntimeErrors), and
+            # a closed output pipe, which click ends quietly.
+            raise
+        except Exception as exc:
+            click.echo(f"gsnlint: internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Structural checks for GSN-based safety assurance argumentations."""
 

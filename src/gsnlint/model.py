@@ -12,7 +12,7 @@ cached.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -159,6 +159,15 @@ class RiskAcceptanceCriterion:
     text: str = ""
 
 
+#: The traceable registries, in schema order: registry name -> item class.
+REGISTRY_ITEMS: dict[str, type] = {
+    "hazards": Hazard,
+    "regulatory_requirements": RegulatoryRequirement,
+    "normative_requirements": NormativeRequirement,
+    "risk_acceptance_criteria": RiskAcceptanceCriterion,
+}
+
+
 @dataclass
 class Registries:
     hazards: list[Hazard] = field(default_factory=list)
@@ -169,11 +178,8 @@ class Registries:
         default_factory=lambda: list(DEFAULT_CONTEXT_DIMENSIONS)
     )
 
-    TRACEABLE = ("hazards", "regulatory_requirements", "normative_requirements",
-                 "risk_acceptance_criteria")
-
     def item_ids(self, registry_name: str) -> list[str]:
-        if registry_name not in self.TRACEABLE:
+        if registry_name not in REGISTRY_ITEMS:
             raise UnknownRegistryError(registry_name)
         return [item.id for item in getattr(self, registry_name)]
 
@@ -497,31 +503,10 @@ def canonical_dict(model: GsnModel) -> dict:
         for module in model.modules
     ]
     reg = model.registries
-    out["registries"] = {
-        "hazards": [
-            {"id": h.id, "description": h.description, "status": h.status.value}
-            for h in reg.hazards
-        ],
-        "regulatory_requirements": [
-            {"id": r.id, "source": r.source, "text": r.text}
-            for r in reg.regulatory_requirements
-        ],
-        "normative_requirements": [
-            _drop_none({"id": n.id, "source": n.source, "text": n.text,
-                        "selection_rationale": n.selection_rationale})
-            for n in reg.normative_requirements
-        ],
-        "risk_acceptance_criteria": [
-            {"id": r.id, "level": r.level.value, "text": r.text}
-            for r in reg.risk_acceptance_criteria
-        ],
-        "context_dimensions": list(reg.context_dimensions),
-    }
-    out["artifacts"] = [
-        _drop_none({"id": a.id, "role": a.role.value, "title": a.title,
-                    "uri": a.uri, "dimension": a.dimension})
-        for a in model.artifacts
-    ]
+    out["registries"] = {name: [_record_dict(item) for item in getattr(reg, name)]
+                         for name in REGISTRY_ITEMS}
+    out["registries"]["context_dimensions"] = list(reg.context_dimensions)
+    out["artifacts"] = [_record_dict(a) for a in model.artifacts]
     return out
 
 
@@ -550,8 +535,15 @@ def _element_dict(element: GsnElement) -> dict:
     return out
 
 
-def _drop_none(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v is not None}
+def _record_dict(record) -> dict:
+    """A registry item or artifact in field order: enums as their values,
+    None fields dropped."""
+    out: dict = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if value is not None:
+            out[f.name] = value.value if isinstance(value, enum.Enum) else value
+    return out
 
 
 def models_equal(a: GsnModel, b: GsnModel) -> bool:
@@ -562,10 +554,8 @@ def copy_model(model: GsnModel) -> GsnModel:
     """Deep-enough copy for building mutated variants; caches are not shared."""
     modules = [GsnModule(m.id, [replace(e) for e in m.elements]) for m in model.modules]
     registries = Registries(
-        hazards=[replace(h) for h in model.registries.hazards],
-        regulatory_requirements=[replace(r) for r in model.registries.regulatory_requirements],
-        normative_requirements=[replace(n) for n in model.registries.normative_requirements],
-        risk_acceptance_criteria=[replace(r) for r in model.registries.risk_acceptance_criteria],
+        **{name: [replace(item) for item in getattr(model.registries, name)]
+           for name in REGISTRY_ITEMS},
         context_dimensions=list(model.registries.context_dimensions),
     )
     artifacts = [replace(a) for a in model.artifacts]

@@ -4,32 +4,38 @@ Documents are composed into YAML node trees (not plain-loaded) so every
 diagnostic can point at the line and column of the offending construct.
 All diagnostics in a batch of documents are collected before giving up;
 a model is only produced when no Error-level diagnostic was found.
+
+Parsing is table-driven.  Each record kind (element, assurance claim
+point, module, the four registry items, artifact, model header, and the
+registries section) has one `_Spec`: it maps every YAML key to a field
+name, a reader and the label used in diagnostics, and names the required
+keys.  `_DocParser.record` is the one walker that reads a mapping against
+a spec; `_DocParser.records` reads a sequence of entries.  A reader is any
+callable ``(parser, node, label) -> value`` that reports its own
+diagnostics and returns ``None`` for a value it cannot read; scalars,
+booleans, enumerations, lists of them, and specs themselves are readers.
+Fields that read as ``None`` are left to the dataclass default.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import enum
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import yaml
 
 from .findings import ParseDiagnostic, Severity
 from .model import (
-    AcpRelation,
+    REGISTRY_ITEMS,
     Artifact,
-    ArtifactRole,
+    ArgumentType,
     AssuranceClaimPoint,
     ElementKind,
-    ArgumentType,
     GsnElement,
     GsnModel,
     GsnModule,
-    Hazard,
-    HazardStatus,
-    NormativeRequirement,
-    RacLevel,
     Registries,
-    RegulatoryRequirement,
-    RiskAcceptanceCriterion,
     RoleTag,
     SourceLocation,
     canonical_dict,
@@ -37,9 +43,6 @@ from .model import (
 )
 
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-_ACP_KEYS = {"target", "relation", "confidence_goal"}
-_ARTIFACT_KEYS = {"id", "role", "title", "uri", "dimension"}
 
 
 class _DocParser:
@@ -56,20 +59,13 @@ class _DocParser:
         mark = node.start_mark
         return mark.line + 1, mark.column + 1
 
-    def error(self, node, code: str, message: str) -> None:
+    def error(self, node, code: str, message: str, severity=Severity.ERROR) -> None:
         line, col = self._loc(node)
-        self.diags.append(ParseDiagnostic(Severity.ERROR, code, message, self.path, line, col))
-
-    def warning(self, node, code: str, message: str) -> None:
-        line, col = self._loc(node)
-        self.diags.append(ParseDiagnostic(Severity.WARNING, code, message, self.path, line, col))
+        self.diags.append(ParseDiagnostic(severity, code, message, self.path, line, col))
 
     def unknown_key(self, key_node, key: str, where: str) -> None:
-        message = f"unknown key '{key}' in {where}"
-        if self.lenient:
-            self.warning(key_node, "unknown-key", message)
-        else:
-            self.error(key_node, "unknown-key", message)
+        self.error(key_node, "unknown-key", f"unknown key '{key}' in {where}",
+                   Severity.WARNING if self.lenient else Severity.ERROR)
 
     def location(self, node) -> SourceLocation:
         line, col = self._loc(node)
@@ -113,175 +109,144 @@ class _DocParser:
                        f"unknown enumeration value '{raw}' for {where} (expected one of: {allowed})")
             return None
 
-    def string_list(self, node, where: str) -> list[str]:
-        items = self.sequence(node, where)
-        out: list[str] = []
-        for item in items or []:
-            value = self.string(item, f"entry of {where}")
+    # -- records ------------------------------------------------------
+
+    def records(self, node, where: str, read: _Reader,
+                entry_where: Optional[str] = None) -> list:
+        """Read every entry of a sequence; entries that do not read are skipped."""
+        entry_where = entry_where or f"entry of {where}"
+        out = []
+        for entry in self.sequence(node, where) or []:
+            value = read(self, entry, entry_where)
             if value is not None:
                 out.append(value)
         return out
 
-    # -- sections -----------------------------------------------------
-
-    def element(self, node) -> Optional[GsnElement]:
-        items = self.mapping(node, "element entry")
+    def record(self, node, spec: _Spec):
+        """Read one mapping against `spec`; ``None`` when it cannot be built."""
+        items = self.mapping(node, spec.where)
         if items is None:
             return None
-        fields: dict = {"location": self.location(node)}
-        for key, key_node, value in items:
-            if key == "id":
-                fields["id"] = self.string(value, "element id")
-            elif key == "kind":
-                fields["kind"] = self.enum(value, ElementKind, "element kind")
-            elif key == "text":
-                fields["text"] = self.string(value, "element text") or ""
-            elif key == "undeveloped":
-                fields["undeveloped"] = bool(self.boolean(value, "undeveloped"))
-            elif key == "argument_type":
-                fields["argument_type"] = self.enum(value, ArgumentType, "argument_type")
-            elif key == "roles":
-                roles = []
-                for item in self.sequence(value, "roles") or []:
-                    role = self.enum(item, RoleTag, "role")
-                    if role is not None:
-                        roles.append(role)
-                fields["roles"] = frozenset(roles)
-            elif key == "supported_by":
-                fields["supported_by"] = tuple(self.string_list(value, "supported_by"))
-            elif key == "in_context_of":
-                fields["in_context_of"] = tuple(self.string_list(value, "in_context_of"))
-            elif key == "traces":
-                fields["traces"] = frozenset(self.string_list(value, "traces"))
-            elif key == "artifacts":
-                fields["artifacts"] = frozenset(self.string_list(value, "artifacts"))
-            elif key == "acp":
-                fields["acps"] = tuple(self.acp_list(value))
-            else:
-                self.unknown_key(key_node, key, "element entry")
-        if fields.get("id") is None or fields.get("kind") is None:
-            if "id" not in fields or "kind" not in fields:
-                self.error(node, "missing-key", "element entry requires 'id' and 'kind'")
-            return None
-        return GsnElement(**fields)
-
-    def acp_list(self, node) -> list[AssuranceClaimPoint]:
-        out: list[AssuranceClaimPoint] = []
-        for entry in self.sequence(node, "acp") or []:
-            items = self.mapping(entry, "acp entry")
-            if items is None:
+        values: dict = {"location": self.location(node)} if spec.located else {}
+        for key, key_node, value_node in items:
+            entry = spec.keys.get(key) if isinstance(key, str) else None
+            if entry is None:
+                self.unknown_key(key_node, key, spec.where)
                 continue
-            fields: dict = {}
-            for key, key_node, value in items:
-                if key == "target":
-                    fields["target"] = self.string(value, "acp target")
-                elif key == "relation":
-                    fields["relation"] = self.enum(value, AcpRelation, "acp relation")
-                elif key == "confidence_goal":
-                    fields["confidence_goal"] = self.string(value, "acp confidence_goal")
-                else:
-                    self.unknown_key(key_node, key, "acp entry")
-            if None in fields.values() or set(fields) != _ACP_KEYS:
-                self.error(entry, "missing-key",
-                           "acp entry requires 'target', 'relation', and 'confidence_goal'")
-                continue
-            out.append(AssuranceClaimPoint(**fields))
-        return out
+            value = entry.read(self, value_node, entry.label)
+            if entry.append and entry.field in values:
+                value = values[entry.field] + value
+            values[entry.field] = value
+        if None in map(values.get, spec.required):
+            if spec.strict or not all(key in values for key in spec.required):
+                self.error(node, "missing-key", spec.missing_message)
+            return None
+        return spec.build(**{k: v for k, v in values.items() if v is not None})
 
-    def module(self, node) -> Optional[GsnModule]:
-        items = self.mapping(node, "module entry")
-        if items is None:
-            return None
-        module_id: Optional[str] = None
-        elements: list[GsnElement] = []
-        for key, key_node, value in items:
-            if key == "id":
-                module_id = self.string(value, "module id")
-            elif key == "elements":
-                for entry in self.sequence(value, "elements") or []:
-                    element = self.element(entry)
-                    if element is not None:
-                        elements.append(element)
-            else:
-                self.unknown_key(key_node, key, "module entry")
-        if module_id is None:
-            self.error(node, "missing-key", "module entry requires 'id'")
-            return None
-        return GsnModule(module_id, elements)
 
-    def registry_item(self, node, item_cls, spec: dict):
-        items = self.mapping(node, "registry item")
-        if items is None:
-            return None
-        fields: dict = {}
-        for key, key_node, value in items:
-            if key not in spec:
-                self.unknown_key(key_node, key, "registry item")
-                continue
-            kind = spec[key]
-            fields[key] = (self.enum(value, kind, key) if isinstance(kind, type) and
-                           issubclass(kind, (HazardStatus, RacLevel))
-                           else self.string(value, key))
-        if fields.get("id") is None:
-            self.error(node, "missing-key", "registry item requires 'id'")
-            return None
-        fields = {k: v for k, v in fields.items() if v is not None}
-        return item_cls(**fields)
+_Reader = Callable[[_DocParser, yaml.Node, str], object]
 
-    def registries(self, node, registries: Registries, dims_declared: list[bool]) -> None:
-        items = self.mapping(node, "registries")
-        for key, key_node, value in items or []:
-            if key == "hazards":
-                for entry in self.sequence(value, "hazards") or []:
-                    item = self.registry_item(
-                        entry, Hazard, {"id": str, "description": str, "status": HazardStatus})
-                    if item is not None:
-                        registries.hazards.append(item)
-            elif key == "regulatory_requirements":
-                for entry in self.sequence(value, key) or []:
-                    item = self.registry_item(
-                        entry, RegulatoryRequirement, {"id": str, "source": str, "text": str})
-                    if item is not None:
-                        registries.regulatory_requirements.append(item)
-            elif key == "normative_requirements":
-                for entry in self.sequence(value, key) or []:
-                    item = self.registry_item(
-                        entry, NormativeRequirement,
-                        {"id": str, "source": str, "text": str, "selection_rationale": str})
-                    if item is not None:
-                        registries.normative_requirements.append(item)
-            elif key == "risk_acceptance_criteria":
-                for entry in self.sequence(value, key) or []:
-                    item = self.registry_item(
-                        entry, RiskAcceptanceCriterion,
-                        {"id": str, "level": RacLevel, "text": str})
-                    if item is not None:
-                        registries.risk_acceptance_criteria.append(item)
-            elif key == "context_dimensions":
-                if not dims_declared[0]:
-                    registries.context_dimensions = []
-                    dims_declared[0] = True
-                registries.context_dimensions.extend(self.string_list(value, key))
-            else:
-                self.unknown_key(key_node, key, "registries")
 
-    def artifact(self, node) -> Optional[Artifact]:
-        items = self.mapping(node, "artifact entry")
-        if items is None:
-            return None
-        fields: dict = {}
-        for key, key_node, value in items:
-            if key == "role":
-                fields["role"] = self.enum(value, ArtifactRole, "artifact role")
-            elif key in _ARTIFACT_KEYS:
-                fields[key] = self.string(value, f"artifact {key}")
-            else:
-                self.unknown_key(key_node, key, "artifact entry")
-        if fields.get("id") is None or fields.get("role") is None:
-            if "id" not in fields or "role" not in fields:
-                self.error(node, "missing-key", "artifact entry requires 'id' and 'role'")
-            return None
-        return Artifact(**{k: v for k, v in fields.items() if v is not None})
+class _Key(NamedTuple):
+    """How one YAML key of a record reads."""
+
+    field: str
+    read: _Reader
+    label: str
+    append: bool = False  # a repeated key extends the field instead of replacing it
+
+
+@dataclass(frozen=True)
+class _Spec:
+    """One record kind: its keys, how it is built, and its required keys.
+
+    A strict spec reports `missing-key` when a required key is absent or
+    present but unreadable; a lenient one only when it is absent (the
+    unreadable value was already reported).
+    """
+
+    where: str
+    build: Callable[..., object]
+    keys: dict[str, _Key]
+    required: tuple[str, ...] = ()
+    strict: bool = True
+    located: bool = False  # pass the mapping's SourceLocation as `location`
+
+    @property
+    def missing_message(self) -> str:
+        quoted = [f"'{key}'" for key in self.required]
+        listed = (" and ".join(quoted) if len(quoted) < 3
+                  else ", ".join(quoted[:-1]) + ", and " + quoted[-1])
+        return f"{self.where} requires {listed}"
+
+    def __call__(self, parser: _DocParser, node, label: str):
+        return parser.record(node, self)
+
+
+def _enum(enum_cls) -> _Reader:
+    return lambda parser, node, label: parser.enum(node, enum_cls, label)
+
+
+def _list(read: _Reader, entry_label: Optional[str] = None) -> _Reader:
+    return lambda parser, node, label: parser.records(node, label, read, entry_label)
+
+
+def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...],
+                    strict: bool = True) -> _Spec:
+    """A spec whose keys are `cls`'s fields: enum-typed ones read as enums,
+    the rest as scalars; `label` is formatted with the key."""
+    hints = get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        read = (_enum(kind) if isinstance(kind, type) and issubclass(kind, enum.Enum)
+                else _DocParser.string)
+        keys[f.name] = _Key(f.name, read, label.format(f.name))
+    return _Spec(where, cls, keys, required, strict)
+
+
+_STRINGS = _list(_DocParser.string)
+
+_ACP = _dataclass_spec(AssuranceClaimPoint, "acp entry", "acp {}",
+                       ("target", "relation", "confidence_goal"))
+
+_ELEMENT = _Spec("element entry", GsnElement, {
+    "id": _Key("id", _DocParser.string, "element id"),
+    "kind": _Key("kind", _enum(ElementKind), "element kind"),
+    "text": _Key("text", _DocParser.string, "element text"),
+    "undeveloped": _Key("undeveloped", _DocParser.boolean, "undeveloped"),
+    "argument_type": _Key("argument_type", _enum(ArgumentType), "argument_type"),
+    "roles": _Key("roles", _list(_enum(RoleTag), "role"), "roles"),
+    "supported_by": _Key("supported_by", _STRINGS, "supported_by"),
+    "in_context_of": _Key("in_context_of", _STRINGS, "in_context_of"),
+    "traces": _Key("traces", _STRINGS, "traces"),
+    "artifacts": _Key("artifacts", _STRINGS, "artifacts"),
+    "acp": _Key("acps", _list(_ACP), "acp"),
+}, required=("id", "kind"), strict=False, located=True)
+
+_MODULE = _Spec("module entry", GsnModule, {
+    "id": _Key("id", _DocParser.string, "module id"),
+    "elements": _Key("elements", _list(_ELEMENT), "elements", append=True),
+}, required=("id",))
+
+_REGISTRIES = _Spec("registries", dict, {
+    **{name: _Key(name, _list(_dataclass_spec(item_cls, "registry item", "{}", ("id",))),
+                  name, append=True)
+       for name, item_cls in REGISTRY_ITEMS.items()},
+    "context_dimensions": _Key("context_dimensions", _STRINGS, "context_dimensions",
+                               append=True),
+})
+
+_ARTIFACT = _dataclass_spec(Artifact, "artifact entry", "artifact {}", ("id", "role"),
+                            strict=False)
+
+_HEADER = _Spec("model header", dict, {
+    "id": _Key("id", _DocParser.string, "model id"),
+    # An empty version reads as None, so it falls back to the default "0".
+    "version": _Key("version", lambda parser, node, label: parser.string(node, label) or None,
+                    "model version"),
+    "fragmentary": _Key("fragmentary", _DocParser.boolean, "fragmentary"),
+}, required=("id",))
 
 
 def parse_model(
@@ -301,12 +266,10 @@ def parse_model(
         return None, diags
 
     header: Optional[dict] = None
+    header_declared = False
     modules: list[GsnModule] = []
-    registries = Registries(context_dimensions=[])
-    dims_declared = [False]
+    registries: dict[str, list] = {}
     artifacts: list[Artifact] = []
-    element_locations: dict[str, SourceLocation] = {}
-    duplicate_locations: dict[str, SourceLocation] = {}
 
     for path, text in documents:
         parser = _DocParser(path, lenient, diags)
@@ -323,56 +286,38 @@ def parse_model(
             diags.append(ParseDiagnostic(
                 Severity.ERROR, "syntax", "document is empty", path))
             continue
-        items = parser.mapping(root, "document")
-        if items is None:
-            continue
-        for key, key_node, value in items:
+        for key, key_node, value in parser.mapping(root, "document") or []:
             if key == "model":
-                model_items = parser.mapping(value, "model header")
-                if model_items is None:
-                    continue
-                if header is not None:
+                is_mapping = isinstance(value, yaml.MappingNode)
+                if header_declared and is_mapping:
                     parser.error(key_node, "model-header",
                                  "model header declared more than once")
                     continue
-                header = {"id": None, "version": "0", "fragmentary": False}
-                for hkey, hkey_node, hvalue in model_items:
-                    if hkey == "id":
-                        header["id"] = parser.string(hvalue, "model id")
-                    elif hkey == "version":
-                        header["version"] = parser.string(hvalue, "model version") or "0"
-                    elif hkey == "fragmentary":
-                        header["fragmentary"] = bool(parser.boolean(hvalue, "fragmentary"))
-                    else:
-                        parser.unknown_key(hkey_node, hkey, "model header")
-                if header["id"] is None:
-                    parser.error(value, "missing-key", "model header requires 'id'")
+                header_declared = header_declared or is_mapping
+                header = parser.record(value, _HEADER) or header
             elif key == "modules":
-                for entry in parser.sequence(value, "modules") or []:
-                    module = parser.module(entry)
-                    if module is None:
-                        continue
-                    modules.append(module)
-                    for element in module.elements:
-                        if element.id in element_locations:
-                            duplicate_locations[element.id] = element.location
-                        else:
-                            element_locations[element.id] = element.location
+                modules += parser.records(value, "modules", _MODULE)
             elif key == "registries":
-                parser.registries(value, registries, dims_declared)
+                for name, items in (parser.record(value, _REGISTRIES) or {}).items():
+                    registries.setdefault(name, []).extend(items)
             elif key == "artifacts":
-                for entry in parser.sequence(value, "artifacts") or []:
-                    artifact = parser.artifact(entry)
-                    if artifact is not None:
-                        artifacts.append(artifact)
+                artifacts += parser.records(value, "artifacts", _ARTIFACT)
             else:
                 parser.unknown_key(key_node, key, "document")
 
-    if header is None or header["id"] is None:
+    if header is None:
         diags.append(ParseDiagnostic(
             Severity.ERROR, "model-header", "no model header found in any document",
             documents[0][0]))
 
+    element_locations: dict[str, SourceLocation] = {}
+    duplicate_locations: dict[str, SourceLocation] = {}
+    for module in modules:
+        for element in module.elements:
+            if element.id in element_locations:
+                duplicate_locations[element.id] = element.location
+            else:
+                element_locations[element.id] = element.location
     for problem in find_structural_problems(modules):
         loc = None
         if problem.code == "duplicate-id" and problem.elements:
@@ -390,17 +335,8 @@ def parse_model(
 
     if any(d.severity is Severity.ERROR for d in diags):
         return None, diags
-
-    if not dims_declared[0]:
-        registries.context_dimensions = list(Registries().context_dimensions)
-    model = GsnModel(
-        id=header["id"],
-        version=header["version"],
-        modules=modules,
-        registries=registries,
-        artifacts=artifacts,
-        fragmentary=header["fragmentary"],
-    )
+    model = GsnModel(**header, modules=modules, registries=Registries(**registries),
+                     artifacts=artifacts)
     return model, diags
 
 
@@ -425,6 +361,7 @@ def load_model(
 
 def serialize_model(model: GsnModel, include_registries: bool = True) -> str:
     """Canonical text form: schema-ordered keys, elements sorted by id."""
+    # Pure-Python safe_dump: CSafeDumper escapes emoji and folds long quoted scalars differently.
     data = canonical_dict(model)
     if not include_registries:
         data.pop("registries", None)

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from gsnlint import cli
 from gsnlint.cli import main
 
 from conftest import FIXTURES
@@ -80,6 +81,22 @@ class TestCheck:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert f"cannot read '{path}': not UTF-8 text" in result.stderr
+
+    def test_internal_error_exits_three(self, runner, monkeypatch):
+        def crash(model, profile):
+            raise ValueError("rule engine fault")
+
+        monkeypatch.setattr(cli.rules_mod, "evaluate", crash)
+        result = runner.invoke(main, ["check", fixture("01-minimal.sac.yaml")])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "gsnlint: internal error: ValueError: rule engine fault\n"
+
+    def test_subcommand_help_passes_through_the_crash_handler(self, runner):
+        # click ends --help with Exit(0), a RuntimeError.
+        result = runner.invoke(main, ["check", "--help"])
+        assert result.exit_code == 0
+        assert "--profile" in result.stdout
 
     def test_multi_document_input(self, runner):
         result = runner.invoke(main, [

@@ -10,6 +10,7 @@ only, never at run time.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import networkx as nx
 import yaml
@@ -20,17 +21,20 @@ from hypothesis import strategies as st
 from gsnlint.cli import main
 from gsnlint.findings import Severity
 from gsnlint.model import (
+    AcpRelation,
     ArgumentType,
+    AssuranceClaimPoint,
     ElementKind,
     GsnElement,
     GsnModel,
     GsnModule,
     RoleTag,
     _find_cycles,
+    find_structural_problems,
 )
 from gsnlint.parser import load_model, parse_model
 from gsnlint.rules import evaluate, make_profile
-from gsnlint.wellformed import check_wellformed
+from gsnlint.wellformed import _GUARD_RULES, check_wellformed
 
 from conftest import good_fixture_groups
 from genmodels import random_model
@@ -154,6 +158,37 @@ class TestCycles:
         assert _find_cycles(chain(5000)) == []
         cycles = _find_cycles(chain(5000, close=True))
         assert cycles == [tuple(f"G{i}" for i in range(5000))]
+
+
+# -- well-formedness guards ------------------------------------------
+
+
+class TestStructuralGuards:
+    def test_wf1_to_wf3_are_the_structural_problems(self):
+        """On unparsed models, evaluate's WF1-WF3 findings are exactly
+        find_structural_problems mapped through the guard-rule table."""
+        rng = random.Random(17)
+        profile = make_profile("gsn-wf")
+        targets = ["E0", "E1", "E2", "X1"]
+        for _ in range(1000):
+            elements = list(random_graph(rng).values())
+            # Duplicate ids (with their own children) and ACPs, some invalid.
+            elements += [replace(rng.choice(elements),
+                                 supported_by=tuple(rng.sample(targets, rng.randint(0, 2))))
+                         for _ in range(rng.randint(0, 2))]
+            for element in rng.sample(elements, rng.randint(0, min(2, len(elements)))):
+                element.acps = (AssuranceClaimPoint(
+                    rng.choice(targets), rng.choice(list(AcpRelation)), rng.choice(targets)),)
+            rng.shuffle(elements)
+            split = rng.randint(0, len(elements))
+            model = GsnModel("case", modules=[GsnModule("a", elements[:split]),
+                                              GsnModule("b", elements[split:])])
+            expected = sorted((_GUARD_RULES[p.code], Severity.ERROR, p.message, p.elements)
+                              for p in find_structural_problems(model.modules))
+            found = sorted((f.rule, f.severity, f.message, f.elements)
+                           for f in evaluate(model, profile)
+                           if f.rule in ("WF1", "WF2", "WF3"))
+            assert found == expected, elements
 
 
 # -- reachability ----------------------------------------------------

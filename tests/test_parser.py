@@ -114,6 +114,50 @@ class TestParseErrors:
         assert any(d.code == "model-header" for d in diags)
 
 
+    # One case per record kind.  Elements and artifacts report missing-key
+    # only for an absent required key; ACPs, modules, registry items and
+    # the header also for a present but unreadable one.
+    @pytest.mark.parametrize("text,expected", [
+        ("model: {id: d}\nmodules:\n  - id: m\n    elements:\n"
+         "      - {id: [G1], text: t}\n      - {id: G2, kind: [goal]}\n",
+         ["inline.sac.yaml:5:14: error: element id must be a scalar [bad-type]",
+          "inline.sac.yaml:5:9: error: element entry requires 'id' and 'kind' [missing-key]",
+          "inline.sac.yaml:6:24: error: element kind must be a scalar [bad-type]"]),
+        ("model: {id: d}\nmodules:\n  - id: m\n    elements:\n      - id: G1\n"
+         "        kind: goal\n        acp:\n"
+         "          - {target: [x], relation: supported_by, confidence_goal: G1}\n",
+         ["inline.sac.yaml:8:22: error: acp target must be a scalar [bad-type]",
+          "inline.sac.yaml:8:13: error: acp entry requires 'target', 'relation', and "
+          "'confidence_goal' [missing-key]"]),
+        ("model: {id: d}\nmodules:\n  - {id: [m], elements: []}\n",
+         ["inline.sac.yaml:3:10: error: module id must be a scalar [bad-type]",
+          "inline.sac.yaml:3:5: error: module entry requires 'id' [missing-key]"]),
+        ("model: {id: d}\nregistries:\n  hazards:\n    - {id: [H1], status: open}\n",
+         ["inline.sac.yaml:4:12: error: id must be a scalar [bad-type]",
+          "inline.sac.yaml:4:7: error: registry item requires 'id' [missing-key]"]),
+        ("model: {id: d}\nartifacts:\n  - {id: A1, role: [evidence]}\n"
+         "  - {title: [t], role: evidence}\n",
+         ["inline.sac.yaml:3:20: error: artifact role must be a scalar [bad-type]",
+          "inline.sac.yaml:4:13: error: artifact title must be a scalar [bad-type]",
+          "inline.sac.yaml:4:5: error: artifact entry requires 'id' and 'role' [missing-key]"]),
+        ("model: {id: [d], version: '1'}\n",
+         ["inline.sac.yaml:1:13: error: model id must be a scalar [bad-type]",
+          "inline.sac.yaml:1:8: error: model header requires 'id' [missing-key]",
+          "inline.sac.yaml:1:1: error: no model header found in any document [model-header]"]),
+    ], ids=["element", "acp", "module", "registry-item", "artifact", "model-header"])
+    def test_missing_key_and_bad_type_diagnostics(self, text, expected):
+        model, diags = parse_text(text)
+        assert model is None
+        assert [str(d) for d in diags] == expected
+
+    def test_non_scalar_key_in_a_registry_item_is_an_unknown_key(self):
+        text = "model: {id: d}\nregistries:\n  hazards:\n    - {? [a] : b, id: H1}\n"
+        model, diags = parse_text(text, lenient=True)
+        assert model is not None
+        assert [d.code for d in diags] == ["unknown-key"]
+        assert model.registries.item_ids("hazards") == ["H1"]
+
+
 class TestRoundTrip:
     def test_serialize_reparse_structural_equality(self):
         for name, paths in good_fixture_groups():

@@ -1,0 +1,607 @@
+"""The table-driven parser against the hand-written walkers it replaced.
+
+`ReferenceDocParser` and `reference_parse_model` below are the per-record
+`if/elif` walkers that `parser._Spec` tables and `_DocParser.record`
+replaced.  Both parsers read the same documents; their diagnostics (in
+order), canonical dicts and element locations must be equal.  The corpus
+is every fixture, strict and lenient, seeded mutations of the fixtures,
+and text-level cases for repeated keys and empty versions.
+"""
+
+from __future__ import annotations
+
+import copy
+import random
+from typing import Optional
+
+import pytest
+import yaml
+
+from gsnlint.findings import ParseDiagnostic, Severity
+from gsnlint.model import (
+    AcpRelation,
+    Artifact,
+    ArtifactRole,
+    AssuranceClaimPoint,
+    ElementKind,
+    ArgumentType,
+    GsnElement,
+    GsnModel,
+    GsnModule,
+    Hazard,
+    HazardStatus,
+    NormativeRequirement,
+    RacLevel,
+    Registries,
+    RegulatoryRequirement,
+    RiskAcceptanceCriterion,
+    RoleTag,
+    SourceLocation,
+    canonical_dict,
+    find_structural_problems,
+)
+from gsnlint.parser import parse_model
+
+from conftest import bad_fixture_paths, good_fixture_groups
+
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+# -- reference -------------------------------------------------------
+
+_ACP_KEYS = {"target", "relation", "confidence_goal"}
+_ARTIFACT_KEYS = {"id", "role", "title", "uri", "dimension"}
+
+
+class ReferenceDocParser:
+    """The hand-written per-record walkers the spec tables replaced."""
+
+    def __init__(self, path: str, lenient: bool, diags: list[ParseDiagnostic]):
+        self.path = path
+        self.lenient = lenient
+        self.diags = diags
+
+    # -- diagnostics --------------------------------------------------
+
+    def _loc(self, node) -> tuple[int, int]:
+        mark = node.start_mark
+        return mark.line + 1, mark.column + 1
+
+    def error(self, node, code: str, message: str) -> None:
+        line, col = self._loc(node)
+        self.diags.append(ParseDiagnostic(Severity.ERROR, code, message, self.path, line, col))
+
+    def warning(self, node, code: str, message: str) -> None:
+        line, col = self._loc(node)
+        self.diags.append(ParseDiagnostic(Severity.WARNING, code, message, self.path, line, col))
+
+    def unknown_key(self, key_node, key: str, where: str) -> None:
+        message = f"unknown key '{key}' in {where}"
+        if self.lenient:
+            self.warning(key_node, "unknown-key", message)
+        else:
+            self.error(key_node, "unknown-key", message)
+
+    def location(self, node) -> SourceLocation:
+        line, col = self._loc(node)
+        return SourceLocation(self.path, line, col)
+
+    # -- node coercion ------------------------------------------------
+
+    def mapping(self, node, where: str) -> Optional[list]:
+        if not isinstance(node, yaml.MappingNode):
+            self.error(node, "bad-type", f"{where} must be a mapping")
+            return None
+        return [(key.value, key, value) for key, value in node.value]
+
+    def sequence(self, node, where: str) -> Optional[list]:
+        if not isinstance(node, yaml.SequenceNode):
+            self.error(node, "bad-type", f"{where} must be a sequence")
+            return None
+        return list(node.value)
+
+    def string(self, node, where: str) -> Optional[str]:
+        if not isinstance(node, yaml.ScalarNode) or node.tag.endswith((":map", ":seq")):
+            self.error(node, "bad-type", f"{where} must be a scalar")
+            return None
+        return node.value
+
+    def boolean(self, node, where: str) -> Optional[bool]:
+        if isinstance(node, yaml.ScalarNode) and node.tag == "tag:yaml.org,2002:bool":
+            return node.value.lower() in ("true", "yes", "on")
+        self.error(node, "bad-type", f"{where} must be a boolean")
+        return None
+
+    def enum(self, node, enum_cls, where: str):
+        raw = self.string(node, where)
+        if raw is None:
+            return None
+        try:
+            return enum_cls(raw)
+        except ValueError:
+            allowed = ", ".join(member.value for member in enum_cls)
+            self.error(node, "unknown-enum",
+                       f"unknown enumeration value '{raw}' for {where} (expected one of: {allowed})")
+            return None
+
+    def string_list(self, node, where: str) -> list[str]:
+        items = self.sequence(node, where)
+        out: list[str] = []
+        for item in items or []:
+            value = self.string(item, f"entry of {where}")
+            if value is not None:
+                out.append(value)
+        return out
+
+    # -- sections -----------------------------------------------------
+
+    def element(self, node) -> Optional[GsnElement]:
+        items = self.mapping(node, "element entry")
+        if items is None:
+            return None
+        fields: dict = {"location": self.location(node)}
+        for key, key_node, value in items:
+            if key == "id":
+                fields["id"] = self.string(value, "element id")
+            elif key == "kind":
+                fields["kind"] = self.enum(value, ElementKind, "element kind")
+            elif key == "text":
+                fields["text"] = self.string(value, "element text") or ""
+            elif key == "undeveloped":
+                fields["undeveloped"] = bool(self.boolean(value, "undeveloped"))
+            elif key == "argument_type":
+                fields["argument_type"] = self.enum(value, ArgumentType, "argument_type")
+            elif key == "roles":
+                roles = []
+                for item in self.sequence(value, "roles") or []:
+                    role = self.enum(item, RoleTag, "role")
+                    if role is not None:
+                        roles.append(role)
+                fields["roles"] = frozenset(roles)
+            elif key == "supported_by":
+                fields["supported_by"] = tuple(self.string_list(value, "supported_by"))
+            elif key == "in_context_of":
+                fields["in_context_of"] = tuple(self.string_list(value, "in_context_of"))
+            elif key == "traces":
+                fields["traces"] = frozenset(self.string_list(value, "traces"))
+            elif key == "artifacts":
+                fields["artifacts"] = frozenset(self.string_list(value, "artifacts"))
+            elif key == "acp":
+                fields["acps"] = tuple(self.acp_list(value))
+            else:
+                self.unknown_key(key_node, key, "element entry")
+        if fields.get("id") is None or fields.get("kind") is None:
+            if "id" not in fields or "kind" not in fields:
+                self.error(node, "missing-key", "element entry requires 'id' and 'kind'")
+            return None
+        return GsnElement(**fields)
+
+    def acp_list(self, node) -> list[AssuranceClaimPoint]:
+        out: list[AssuranceClaimPoint] = []
+        for entry in self.sequence(node, "acp") or []:
+            items = self.mapping(entry, "acp entry")
+            if items is None:
+                continue
+            fields: dict = {}
+            for key, key_node, value in items:
+                if key == "target":
+                    fields["target"] = self.string(value, "acp target")
+                elif key == "relation":
+                    fields["relation"] = self.enum(value, AcpRelation, "acp relation")
+                elif key == "confidence_goal":
+                    fields["confidence_goal"] = self.string(value, "acp confidence_goal")
+                else:
+                    self.unknown_key(key_node, key, "acp entry")
+            if None in fields.values() or set(fields) != _ACP_KEYS:
+                self.error(entry, "missing-key",
+                           "acp entry requires 'target', 'relation', and 'confidence_goal'")
+                continue
+            out.append(AssuranceClaimPoint(**fields))
+        return out
+
+    def module(self, node) -> Optional[GsnModule]:
+        items = self.mapping(node, "module entry")
+        if items is None:
+            return None
+        module_id: Optional[str] = None
+        elements: list[GsnElement] = []
+        for key, key_node, value in items:
+            if key == "id":
+                module_id = self.string(value, "module id")
+            elif key == "elements":
+                for entry in self.sequence(value, "elements") or []:
+                    element = self.element(entry)
+                    if element is not None:
+                        elements.append(element)
+            else:
+                self.unknown_key(key_node, key, "module entry")
+        if module_id is None:
+            self.error(node, "missing-key", "module entry requires 'id'")
+            return None
+        return GsnModule(module_id, elements)
+
+    def registry_item(self, node, item_cls, spec: dict):
+        items = self.mapping(node, "registry item")
+        if items is None:
+            return None
+        fields: dict = {}
+        for key, key_node, value in items:
+            if key not in spec:
+                self.unknown_key(key_node, key, "registry item")
+                continue
+            kind = spec[key]
+            fields[key] = (self.enum(value, kind, key) if isinstance(kind, type) and
+                           issubclass(kind, (HazardStatus, RacLevel))
+                           else self.string(value, key))
+        if fields.get("id") is None:
+            self.error(node, "missing-key", "registry item requires 'id'")
+            return None
+        fields = {k: v for k, v in fields.items() if v is not None}
+        return item_cls(**fields)
+
+    def registries(self, node, registries: Registries, dims_declared: list[bool]) -> None:
+        items = self.mapping(node, "registries")
+        for key, key_node, value in items or []:
+            if key == "hazards":
+                for entry in self.sequence(value, "hazards") or []:
+                    item = self.registry_item(
+                        entry, Hazard, {"id": str, "description": str, "status": HazardStatus})
+                    if item is not None:
+                        registries.hazards.append(item)
+            elif key == "regulatory_requirements":
+                for entry in self.sequence(value, key) or []:
+                    item = self.registry_item(
+                        entry, RegulatoryRequirement, {"id": str, "source": str, "text": str})
+                    if item is not None:
+                        registries.regulatory_requirements.append(item)
+            elif key == "normative_requirements":
+                for entry in self.sequence(value, key) or []:
+                    item = self.registry_item(
+                        entry, NormativeRequirement,
+                        {"id": str, "source": str, "text": str, "selection_rationale": str})
+                    if item is not None:
+                        registries.normative_requirements.append(item)
+            elif key == "risk_acceptance_criteria":
+                for entry in self.sequence(value, key) or []:
+                    item = self.registry_item(
+                        entry, RiskAcceptanceCriterion,
+                        {"id": str, "level": RacLevel, "text": str})
+                    if item is not None:
+                        registries.risk_acceptance_criteria.append(item)
+            elif key == "context_dimensions":
+                if not dims_declared[0]:
+                    registries.context_dimensions = []
+                    dims_declared[0] = True
+                registries.context_dimensions.extend(self.string_list(value, key))
+            else:
+                self.unknown_key(key_node, key, "registries")
+
+    def artifact(self, node) -> Optional[Artifact]:
+        items = self.mapping(node, "artifact entry")
+        if items is None:
+            return None
+        fields: dict = {}
+        for key, key_node, value in items:
+            if key == "role":
+                fields["role"] = self.enum(value, ArtifactRole, "artifact role")
+            elif key in _ARTIFACT_KEYS:
+                fields[key] = self.string(value, f"artifact {key}")
+            else:
+                self.unknown_key(key_node, key, "artifact entry")
+        if fields.get("id") is None or fields.get("role") is None:
+            if "id" not in fields or "role" not in fields:
+                self.error(node, "missing-key", "artifact entry requires 'id' and 'role'")
+            return None
+        return Artifact(**{k: v for k, v in fields.items() if v is not None})
+
+
+def reference_parse_model(
+    documents: list[tuple[str, str]],
+    lenient: bool = False,
+) -> tuple[Optional[GsnModel], list[ParseDiagnostic]]:
+    """Parse and link one model from one or more documents.
+
+    Returns ``(model, diagnostics)``; the model is ``None`` exactly when at
+    least one Error diagnostic was produced.  In lenient mode unknown keys
+    demote to warnings.
+    """
+    diags: list[ParseDiagnostic] = []
+    if not documents:
+        diags.append(ParseDiagnostic(
+            Severity.ERROR, "usage", "no input documents given"))
+        return None, diags
+
+    header: Optional[dict] = None
+    modules: list[GsnModule] = []
+    registries = Registries(context_dimensions=[])
+    dims_declared = [False]
+    artifacts: list[Artifact] = []
+    element_locations: dict[str, SourceLocation] = {}
+    duplicate_locations: dict[str, SourceLocation] = {}
+
+    for path, text in documents:
+        parser = ReferenceDocParser(path, lenient, diags)
+        try:
+            root = yaml.compose(text, Loader=_Loader)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            line = mark.line + 1 if mark else 1
+            column = mark.column + 1 if mark else 1
+            diags.append(ParseDiagnostic(
+                Severity.ERROR, "syntax", f"malformed document: {exc}", path, line, column))
+            continue
+        if root is None:
+            diags.append(ParseDiagnostic(
+                Severity.ERROR, "syntax", "document is empty", path))
+            continue
+        items = parser.mapping(root, "document")
+        if items is None:
+            continue
+        for key, key_node, value in items:
+            if key == "model":
+                model_items = parser.mapping(value, "model header")
+                if model_items is None:
+                    continue
+                if header is not None:
+                    parser.error(key_node, "model-header",
+                                 "model header declared more than once")
+                    continue
+                header = {"id": None, "version": "0", "fragmentary": False}
+                for hkey, hkey_node, hvalue in model_items:
+                    if hkey == "id":
+                        header["id"] = parser.string(hvalue, "model id")
+                    elif hkey == "version":
+                        header["version"] = parser.string(hvalue, "model version") or "0"
+                    elif hkey == "fragmentary":
+                        header["fragmentary"] = bool(parser.boolean(hvalue, "fragmentary"))
+                    else:
+                        parser.unknown_key(hkey_node, hkey, "model header")
+                if header["id"] is None:
+                    parser.error(value, "missing-key", "model header requires 'id'")
+            elif key == "modules":
+                for entry in parser.sequence(value, "modules") or []:
+                    module = parser.module(entry)
+                    if module is None:
+                        continue
+                    modules.append(module)
+                    for element in module.elements:
+                        if element.id in element_locations:
+                            duplicate_locations[element.id] = element.location
+                        else:
+                            element_locations[element.id] = element.location
+            elif key == "registries":
+                parser.registries(value, registries, dims_declared)
+            elif key == "artifacts":
+                for entry in parser.sequence(value, "artifacts") or []:
+                    artifact = parser.artifact(entry)
+                    if artifact is not None:
+                        artifacts.append(artifact)
+            else:
+                parser.unknown_key(key_node, key, "document")
+
+    if header is None or header["id"] is None:
+        diags.append(ParseDiagnostic(
+            Severity.ERROR, "model-header", "no model header found in any document",
+            documents[0][0]))
+
+    for problem in find_structural_problems(modules):
+        loc = None
+        if problem.code == "duplicate-id" and problem.elements:
+            loc = duplicate_locations.get(problem.elements[0])
+        if loc is None:
+            for eid in problem.elements:
+                loc = element_locations.get(eid)
+                if loc is not None:
+                    break
+        diags.append(ParseDiagnostic(
+            Severity.ERROR, problem.code, problem.message,
+            loc.file if loc else documents[0][0],
+            loc.line if loc else 1,
+            loc.column if loc else 1))
+
+    if any(d.severity is Severity.ERROR for d in diags):
+        return None, diags
+
+    if not dims_declared[0]:
+        registries.context_dimensions = list(Registries().context_dimensions)
+    model = GsnModel(
+        id=header["id"],
+        version=header["version"],
+        modules=modules,
+        registries=registries,
+        artifacts=artifacts,
+        fragmentary=header["fragmentary"],
+    )
+    return model, diags
+
+
+# -- comparison ------------------------------------------------------
+
+
+def outcome(parse, documents: list[tuple[str, str]], lenient: bool):
+    """Diagnostics in order, the canonical dict, and every element's location."""
+    model, diags = parse(documents, lenient=lenient)
+    diag_tuples = [(d.severity, d.code, d.message, d.file, d.line, d.column) for d in diags]
+    if model is None:
+        return diag_tuples, None, None
+    locations = [(m.id, e.id, e.location) for m in model.modules for e in m.elements]
+    return diag_tuples, canonical_dict(model), locations
+
+
+def assert_same(documents: list[tuple[str, str]], context) -> None:
+    for lenient in (False, True):
+        assert outcome(parse_model, documents, lenient) == \
+            outcome(reference_parse_model, documents, lenient), (context, lenient, documents)
+
+
+def fixture_documents() -> list[tuple[str, list[tuple[str, str]]]]:
+    groups = list(good_fixture_groups())
+    groups += [(path.stem, [path]) for path in bad_fixture_paths()]
+    return [(name, [(str(p), p.read_text(encoding="utf-8")) for p in paths])
+            for name, paths in groups]
+
+
+def test_fixtures_match_reference():
+    for name, documents in fixture_documents():
+        assert_same(documents, name)
+
+
+# -- seeded mutations ------------------------------------------------
+
+_WRONG = (["x"], {"k": "v"}, "bogus", 7, True, None, "")
+_REQUIRED = ("id", "kind", "role", "target", "relation", "confidence_goal")
+
+
+def _slots(data) -> list[tuple[object, object]]:
+    """Every (container, key-or-index) pair in a plain-data tree."""
+    out = []
+    stack = [data]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            items = list(node.items())
+        elif isinstance(node, list):
+            items = list(enumerate(node))
+        else:
+            continue
+        for key, value in items:
+            out.append((node, key))
+            stack.append(value)
+    return out
+
+
+def mutate(data, rng: random.Random) -> None:
+    """One to three edits: a wrong-typed value, a deleted key or entry, a
+    required key made unreadable, or an unknown key."""
+    for _ in range(rng.randint(1, 3)):
+        slots = _slots(data)
+        edit = rng.choice(("wrong-type", "delete", "unreadable", "unknown"))
+        if edit == "unreadable":
+            slots = [(c, k) for c, k in slots if k in _REQUIRED]
+        if edit == "unknown":
+            mappings = [data] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+            rng.choice(mappings)[f"extra_{rng.randint(0, 9)}"] = copy.deepcopy(rng.choice(_WRONG))
+            continue
+        if not slots:
+            continue
+        container, key = rng.choice(slots)
+        if edit == "delete":
+            del container[key]
+        elif edit == "unreadable":
+            container[key] = rng.choice((["x"], {"k": "v"}))
+        else:
+            container[key] = copy.deepcopy(rng.choice(_WRONG))
+
+
+def second_document(rng: random.Random) -> dict:
+    """A companion file: maybe a second header, more elements, registries
+    (context_dimensions among them) and artifacts."""
+    doc: dict = {}
+    if rng.random() < 0.5:
+        doc["model"] = {"id": "second", "version": rng.choice(["2", "", None])}
+    if rng.random() < 0.5:
+        doc["modules"] = [{"id": "m2", "elements": [
+            {"id": rng.choice(["G-extra", "G1", "SN1"]), "kind": "goal", "text": "more"}]}]
+    registries: dict = {}
+    if rng.random() < 0.6:
+        registries["context_dimensions"] = rng.sample(["odd", "ops", "spec"], rng.randint(0, 2))
+    if rng.random() < 0.4:
+        registries["hazards"] = [{"id": "H-extra", "status": rng.choice(["open", "managed"])}]
+    if registries:
+        doc["registries"] = registries
+    if rng.random() < 0.3:
+        doc["artifacts"] = [{"id": "A-extra", "role": "evidence"}]
+    return doc
+
+
+def mutated_cases(count: int, seed: int):
+    rng = random.Random(seed)
+    bases = []
+    for name, documents in fixture_documents():
+        try:
+            loaded = [yaml.load(text, Loader=_Loader) for _, text in documents]
+        except yaml.YAMLError:
+            continue
+        if all(isinstance(doc, dict) for doc in loaded):
+            bases.append((name, loaded))
+    for case in range(count):
+        name, loaded = rng.choice(bases)
+        docs = copy.deepcopy(loaded)
+        if rng.random() < 0.3:
+            docs.append(second_document(rng))
+        mutate(rng.choice(docs), rng)
+        yield f"{name}#{case}", [(f"doc{i}.sac.yaml",
+                                  yaml.dump(doc, Dumper=_Dumper, sort_keys=False))
+                                 for i, doc in enumerate(docs)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_mutations_match_reference(seed):
+    for context, documents in mutated_cases(250, seed):
+        assert_same(documents, context)
+
+
+# -- text-level cases ------------------------------------------------
+
+HEADER = "model: {id: demo}\n"
+
+
+def parse_same(text: str) -> GsnModel:
+    documents = [("case.sac.yaml", text)]
+    assert_same(documents, text)
+    model, diags = parse_model(documents)
+    assert model is not None, diags
+    return model
+
+
+def test_repeated_elements_key_in_a_module_appends():
+    model = parse_same(HEADER + """\
+modules:
+  - id: m
+    elements:
+      - {id: G1, kind: goal, supported_by: [SN1]}
+    elements:
+      - {id: SN1, kind: solution}
+""")
+    assert [e.id for e in model.modules[0].elements] == ["G1", "SN1"]
+
+
+def test_repeated_scalar_key_in_an_element_keeps_the_last():
+    model = parse_same(HEADER + """\
+modules:
+  - id: m
+    elements:
+      - id: G1
+        kind: goal
+        text: first
+        text: second
+""")
+    assert model.resolve("G1").text == "second"
+
+
+def test_repeated_registry_lists_and_sections_append():
+    model = parse_same(HEADER + """\
+registries:
+  hazards:
+    - {id: H1}
+  hazards:
+    - {id: H2}
+  context_dimensions: [odd]
+  context_dimensions: [ops]
+registries:
+  context_dimensions: [spec]
+modules:
+  - {id: m1, elements: [{id: G1, kind: goal}]}
+modules:
+  - {id: m2, elements: [{id: G2, kind: goal}]}
+""")
+    assert model.registries.item_ids("hazards") == ["H1", "H2"]
+    assert model.registries.context_dimensions == ["odd", "ops", "spec"]
+    assert [m.id for m in model.modules] == ["m1", "m2"]
+
+
+@pytest.mark.parametrize("version", ["version: ''", "version:"])
+def test_empty_version_reads_as_zero(version):
+    model = parse_same(f"model:\n  id: demo\n  {version}\n")
+    assert model.version == "0"
