@@ -80,7 +80,7 @@ def main() -> None:
 @main.command()
 @click.argument("paths", nargs=-1, required=True, type=click.Path())
 @click.option("--profile", default="all",
-              type=click.Choice(["core", "instantiation", "gsn-wf", "all"]))
+              type=click.Choice(list(rules_mod.PROFILE_RULES)))
 @click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
 @click.option("--lenient", is_flag=True, help="Demote unknown keys to warnings.")
 @click.option("--strict-warnings", is_flag=True,

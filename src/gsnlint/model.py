@@ -209,11 +209,18 @@ class UnknownRegistryError(KeyError):
 
 @dataclass(frozen=True)
 class StructuralProblem:
-    """One reason a set of modules cannot form a linked model."""
+    """One reason a set of modules cannot form a linked model.
+
+    `location` is where the element the problem is about was declared: the
+    repeated copy for a duplicate id, the owning element for an unresolved
+    reference or an invalid assurance claim point, and the first element of
+    a cycle.  It is ``None`` for elements built without a location.
+    """
 
     code: str  # duplicate-id | unresolved-ref | cycle | invalid-acp
     message: str
     elements: tuple[str, ...] = ()
+    location: Optional[SourceLocation] = None
 
 
 class ModelError(Exception):
@@ -230,7 +237,8 @@ def find_structural_problems(modules: Iterable[GsnModule]) -> list[StructuralPro
         for element in module.elements:
             if element.id in index:
                 problems.append(StructuralProblem(
-                    "duplicate-id", f"duplicate element id '{element.id}'", (element.id,)))
+                    "duplicate-id", f"duplicate element id '{element.id}'", (element.id,),
+                    element.location))
             else:
                 index[element.id] = element
 
@@ -240,7 +248,7 @@ def find_structural_problems(modules: Iterable[GsnModule]) -> list[StructuralPro
                 problems.append(StructuralProblem(
                     "unresolved-ref",
                     f"element '{element.id}' references unknown element '{ref}'",
-                    (element.id, ref)))
+                    (element.id, ref), element.location))
         for acp in element.acps:
             relation_list = (element.supported_by if acp.relation is AcpRelation.SUPPORTED_BY
                              else element.in_context_of)
@@ -249,24 +257,25 @@ def find_structural_problems(modules: Iterable[GsnModule]) -> list[StructuralPro
                     "invalid-acp",
                     f"assurance claim point on '{element.id}' targets '{acp.target}', "
                     f"which is not in its {acp.relation.value} list",
-                    (element.id, acp.target)))
+                    (element.id, acp.target), element.location))
             goal = index.get(acp.confidence_goal)
             if goal is None:
                 problems.append(StructuralProblem(
                     "unresolved-ref",
                     f"assurance claim point on '{element.id}' references unknown "
                     f"confidence goal '{acp.confidence_goal}'",
-                    (element.id, acp.confidence_goal)))
+                    (element.id, acp.confidence_goal), element.location))
             elif goal.kind is not ElementKind.GOAL:
                 problems.append(StructuralProblem(
                     "invalid-acp",
                     f"confidence goal '{acp.confidence_goal}' of assurance claim point "
                     f"on '{element.id}' is a {goal.kind.value}, not a goal",
-                    (element.id, acp.confidence_goal)))
+                    (element.id, acp.confidence_goal), element.location))
 
     for cycle in _find_cycles(index):
         problems.append(StructuralProblem(
-            "cycle", "supported_by cycle: " + " -> ".join((*cycle, cycle[0])), cycle))
+            "cycle", "supported_by cycle: " + " -> ".join((*cycle, cycle[0])), cycle,
+            index[cycle[0]].location))
     return problems
 
 
@@ -346,11 +355,7 @@ class GsnModel:
     @cached_property
     def topo_order(self) -> list[str]:
         """Elements ordered parents-before-children along supported_by."""
-        indegree = {eid: 0 for eid in self.index}
-        for element in self.index.values():
-            for child in element.supported_by:
-                if child in indegree:
-                    indegree[child] += 1
+        indegree = {eid: len(parents) for eid, parents in self.support_parents.items()}
         queue = sorted(eid for eid, deg in indegree.items() if deg == 0)
         order: list[str] = []
         while queue:

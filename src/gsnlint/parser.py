@@ -310,28 +310,10 @@ def parse_model(
             Severity.ERROR, "model-header", "no model header found in any document",
             documents[0][0]))
 
-    element_locations: dict[str, SourceLocation] = {}
-    duplicate_locations: dict[str, SourceLocation] = {}
-    for module in modules:
-        for element in module.elements:
-            if element.id in element_locations:
-                duplicate_locations[element.id] = element.location
-            else:
-                element_locations[element.id] = element.location
     for problem in find_structural_problems(modules):
-        loc = None
-        if problem.code == "duplicate-id" and problem.elements:
-            loc = duplicate_locations.get(problem.elements[0])
-        if loc is None:
-            for eid in problem.elements:
-                loc = element_locations.get(eid)
-                if loc is not None:
-                    break
+        loc = problem.location or SourceLocation(documents[0][0], 1, 1)
         diags.append(ParseDiagnostic(
-            Severity.ERROR, problem.code, problem.message,
-            loc.file if loc else documents[0][0],
-            loc.line if loc else 1,
-            loc.column if loc else 1))
+            Severity.ERROR, problem.code, problem.message, loc.file, loc.line, loc.column))
 
     if any(d.severity is Severity.ERROR for d in diags):
         return None, diags

@@ -73,7 +73,7 @@ def emit_findings_text(bundle: ReportBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_findings_json(bundle: ReportBundle, indent: int = 2) -> str:
+def emit_findings_json(bundle: ReportBundle) -> str:
     data = {
         "model": {"id": bundle.model_id, "version": bundle.model_version},
         "profile": bundle.profile,
@@ -96,7 +96,7 @@ def emit_findings_json(bundle: ReportBundle, indent: int = 2) -> str:
         data["acp_report"] = bundle.acp_report
     if bundle.evidence_report:
         data["evidence_report"] = bundle.evidence_report
-    return json.dumps(data, indent=indent)
+    return json.dumps(data, indent=2)
 
 
 def emit_findings(bundle: ReportBundle, format: str = "text") -> str:

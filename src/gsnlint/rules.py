@@ -10,8 +10,7 @@ judges declared structure and annotations only, never prose meaning.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 from .findings import Finding, Severity, sort_findings
@@ -163,7 +162,8 @@ class RuleProfile:
     severity_overrides: dict[str, Severity] = field(default_factory=dict)
 
 
-_PROFILE_RULES = {
+#: Profile name -> rule ids, in the order the CLI offers the profiles.
+PROFILE_RULES = {
     "core": CORE_RULES,
     "instantiation": INSTANTIATION_RULES,
     "gsn-wf": WF_RULES,
@@ -187,44 +187,26 @@ class PreconditionError(Exception):
 
 def make_profile(name: str, severity_overrides: Optional[dict[str, Severity]] = None
                  ) -> RuleProfile:
-    if name not in _PROFILE_RULES:
+    if name not in PROFILE_RULES:
         raise UnknownRuleError(f"unknown profile '{name}'")
     overrides = dict(severity_overrides or {})
     for rule in overrides:
         if rule not in CATALOG:
             raise UnknownRuleError(f"unknown rule id '{rule}' in severity overrides")
-    return RuleProfile(name, frozenset(_PROFILE_RULES[name]), overrides)
+    return RuleProfile(name, frozenset(PROFILE_RULES[name]), overrides)
 
 
-def catalog_as_json(indent: int = 2) -> str:
+def catalog_as_json() -> str:
     """Rule catalog export for documentation tooling."""
-    entries = [
-        {"id": d.id, "title": d.title, "default_severity": d.default_severity.value,
-         "anchor": d.anchor, "description": d.description}
-        for d in CATALOG.values()
-    ]
-    return json.dumps({"rules": entries}, indent=indent)
+    return json.dumps({"rules": [asdict(d) for d in CATALOG.values()]}, indent=2)
 
 
-# -- evaluation context ----------------------------------------------
+# -- rules ---------------------------------------------------------
 
 
-@dataclass
-class _Ctx:
-    model: GsnModel
-
-    def subset(self, argument_type: ArgumentType) -> set[str]:
-        return self.model.argument_subset(argument_type)
-
-    @cached_property
-    def all_acps(self) -> list[tuple[str, "object"]]:
-        return [(e.id, acp) for e in self.model.iter_elements() for acp in e.acps]
-
-    def solution_backed(self, element_id: str) -> bool:
-        return self.model.has_solution_descendant[element_id]
-
-    def role_members(self, subset: set[str], role: RoleTag) -> list[str]:
-        return sorted(eid for eid in subset if role in self.model.index[eid].roles)
+def _role_members(model: GsnModel, subset: set[str], role: RoleTag) -> list[str]:
+    """Sorted ids of the elements of `subset` that carry `role`."""
+    return sorted(eid for eid in subset if role in model.index[eid].roles)
 
 
 def _vacuous(rule: str, registry_name: str) -> Finding:
@@ -232,18 +214,18 @@ def _vacuous(rule: str, registry_name: str) -> Finding:
                    f"registry '{registry_name}' is empty; rule {rule} passes vacuously")
 
 
-def _rule_r1(ctx: _Ctx) -> list[Finding]:
-    risk = ctx.subset(ArgumentType.RISK)
+def _rule_r1(model: GsnModel) -> list[Finding]:
+    risk = model.argument_subset(ArgumentType.RISK)
     if not risk:
         return [Finding("R1", Severity.ERROR, "no risk argument: no element belongs "
                         "to the risk argument")]
     findings = []
-    root = ctx.model.root
+    root = model.root
     if root is not None:
         topmost = sorted(
             m for m in risk
-            if not any(p in risk for p in ctx.model.support_parents[m]))
-        reachable = ctx.model.reachable_from((root.id,))
+            if not any(p in risk for p in model.support_parents[m]))
+        reachable = model.reachable_from((root.id,))
         if not any(t in reachable for t in topmost):
             findings.append(Finding(
                 "R1", Severity.ERROR,
@@ -252,40 +234,40 @@ def _rule_r1(ctx: _Ctx) -> list[Finding]:
     return findings
 
 
-def _rule_r2(ctx: _Ctx) -> list[Finding]:
+def _rule_r2(model: GsnModel) -> list[Finding]:
     findings = []
-    risk = ctx.subset(ArgumentType.RISK)
-    if ctx.all_acps:
-        confidence = ctx.subset(ArgumentType.CONFIDENCE)
+    risk = model.argument_subset(ArgumentType.RISK)
+    all_acps = [(e.id, acp) for e in model.iter_elements() for acp in e.acps]
+    if all_acps:
+        confidence = model.argument_subset(ArgumentType.CONFIDENCE)
         if not confidence:
             findings.append(Finding(
                 "R2", Severity.ERROR,
                 "assurance claim points are present but the confidence argument is empty"))
-        for owner, acp in ctx.all_acps:
+        for owner, acp in all_acps:
             if acp.confidence_goal not in confidence:
                 findings.append(Finding(
                     "R2", Severity.ERROR,
                     f"confidence goal '{acp.confidence_goal}' of the assurance claim "
                     f"point on '{owner}' is not part of the confidence argument",
                     (owner, acp.confidence_goal)))
-    risk_acps = [owner for owner, _ in ctx.all_acps if owner in risk]
-    if not risk_acps:
+    if not any(owner in risk for owner, _ in all_acps):
         findings.append(Finding(
             "R2", Severity.WARNING,
             "the risk argument carries no assurance claim points"))
     return findings
 
 
-def _coverage_rule(ctx: _Ctx, rule: str, registry_name: str,
+def _coverage_rule(model: GsnModel, rule: str, registry_name: str,
                    extra_reasons: Optional[Callable] = None) -> list[Finding]:
     """One Error per registry item whose trace matrix row is uncovered, not
     solution-backed, or failed by extra_reasons; empty registries pass
     vacuously with a warning."""
-    matrix = trace_registry(ctx.model, registry_name)
+    matrix = trace_registry(model, registry_name)
     if matrix.vacuous:
         return [_vacuous(rule, registry_name)]
     findings = []
-    for item, row in zip(getattr(ctx.model.registries, registry_name), matrix.rows):
+    for item, row in zip(getattr(model.registries, registry_name), matrix.rows):
         reasons = []
         if not row.covered:
             reasons.append("not traced from the relevant argument")
@@ -301,33 +283,33 @@ def _coverage_rule(ctx: _Ctx, rule: str, registry_name: str,
     return findings
 
 
-def _rule_r3(ctx: _Ctx) -> list[Finding]:
-    return _coverage_rule(ctx, "R3", "regulatory_requirements")
+def _rule_r3(model: GsnModel) -> list[Finding]:
+    return _coverage_rule(model, "R3", "regulatory_requirements")
 
 
-def _rule_r4(ctx: _Ctx) -> list[Finding]:
-    conformance = ctx.subset(ArgumentType.CONFORMANCE)
+def _rule_r4(model: GsnModel) -> list[Finding]:
+    conformance = model.argument_subset(ArgumentType.CONFORMANCE)
     has_rationale_element = bool(
-        ctx.role_members(conformance, RoleTag.SELECTION_RATIONALE))
+        _role_members(model, conformance, RoleTag.SELECTION_RATIONALE))
 
     def rationale_missing(item):
         if not item.selection_rationale and not has_rationale_element:
             return ["no selection rationale recorded for the normative document"]
         return []
 
-    return _coverage_rule(ctx, "R4", "normative_requirements",
+    return _coverage_rule(model, "R4", "normative_requirements",
                           extra_reasons=rationale_missing)
 
 
-def _rule_r5(ctx: _Ctx) -> list[Finding]:
+def _rule_r5(model: GsnModel) -> list[Finding]:
     findings = []
-    risk = ctx.subset(ArgumentType.RISK)
+    risk = model.argument_subset(ArgumentType.RISK)
     # An explicitly re-tagged element leaves the risk subset, so containment
     # means sitting inside the risk argument's scope, not subset inclusion.
-    risk_scope = ctx.model.reachable_from(risk)
+    risk_scope = model.reachable_from(risk)
     for name, argument_type in (("product", ArgumentType.PRODUCT),
                                 ("process", ArgumentType.PROCESS)):
-        subset = ctx.subset(argument_type)
+        subset = model.argument_subset(argument_type)
         if not subset:
             findings.append(Finding(
                 "R5", Severity.ERROR, f"the risk argument lacks a {name} argument"))
@@ -341,13 +323,13 @@ def _rule_r5(ctx: _Ctx) -> list[Finding]:
     return findings
 
 
-def _rule_r6(ctx: _Ctx) -> list[Finding]:
-    matrix = trace_registry(ctx.model, "hazards")
+def _rule_r6(model: GsnModel) -> list[Finding]:
+    matrix = trace_registry(model, "hazards")
     if matrix.vacuous:
         return [_vacuous("R6", "hazards")]
-    index = ctx.model.index
+    index = model.index
     findings = []
-    for hazard, row in zip(ctx.model.registries.hazards, matrix.rows):
+    for hazard, row in zip(model.registries.hazards, matrix.rows):
         tracers = tuple(eid for eid in row.covering_elements
                         if RoleTag.HAZARD_MANAGEMENT in index[eid].roles)
         reasons = []
@@ -356,7 +338,7 @@ def _rule_r6(ctx: _Ctx) -> list[Finding]:
         if not tracers:
             reasons.append("not traced by a hazard-management element of the "
                            "product argument")
-        elif not any(ctx.solution_backed(t) for t in tracers):
+        elif not any(model.has_solution_descendant[t] for t in tracers):
             reasons.append("hazard-management elements lack supporting solutions")
         if reasons:
             findings.append(Finding(
@@ -365,52 +347,52 @@ def _rule_r6(ctx: _Ctx) -> list[Finding]:
     return findings
 
 
-def _rule_r7(ctx: _Ctx) -> list[Finding]:
-    process = ctx.subset(ArgumentType.PROCESS)
+def _rule_r7(model: GsnModel) -> list[Finding]:
+    process = model.argument_subset(ArgumentType.PROCESS)
     if not process:
         return []  # absence of the process argument is R5's finding
     findings = []
     for role, label in ((RoleTag.LIFECYCLE_OPERATION, "operation"),
                         (RoleTag.LIFECYCLE_MAINTENANCE, "maintenance")):
-        if not ctx.role_members(process, role):
+        if not _role_members(model, process, role):
             findings.append(Finding(
                 "R7", Severity.ERROR,
                 f"the process argument does not address lifecycle {label}"))
     return findings
 
 
-def _rule_r8(ctx: _Ctx) -> list[Finding]:
-    process = ctx.subset(ArgumentType.PROCESS)
+def _rule_r8(model: GsnModel) -> list[Finding]:
+    process = model.argument_subset(ArgumentType.PROCESS)
     if not process:
         return []
-    members = ctx.role_members(process, RoleTag.SAFETY_CULTURE)
+    members = _role_members(model, process, RoleTag.SAFETY_CULTURE)
     if not members:
         return [Finding("R8", Severity.ERROR,
                         "the process argument does not address safety culture")]
-    if not any(ctx.solution_backed(m) for m in members):
+    if not any(model.has_solution_descendant[m] for m in members):
         return [Finding("R8", Severity.ERROR,
                         "safety-culture elements lack supporting solutions",
                         tuple(members))]
     return []
 
 
-def _rule_r9(ctx: _Ctx) -> list[Finding]:
-    subset = ctx.subset(ArgumentType.CONTEXTUALIZATION)
+def _rule_r9(model: GsnModel) -> list[Finding]:
+    subset = model.argument_subset(ArgumentType.CONTEXTUALIZATION)
     if not subset:
         return [Finding("R9", Severity.ERROR, "no contextualization argument: no "
                         "element belongs to the contextualization argument")]
-    dimensions = ctx.model.registries.context_dimensions
+    dimensions = model.registries.context_dimensions
     if not dimensions:
         return [_vacuous("R9", "context_dimensions")]
     referenced = set()
     for eid in subset:
-        referenced |= ctx.model.index[eid].artifacts
+        referenced |= model.index[eid].artifacts
     findings = []
     for dimension in dimensions:
         covered = any(
             a.role is ArtifactRole.CONTEXT_DOC and a.dimension == dimension
             and a.id in referenced
-            for a in ctx.model.artifacts)
+            for a in model.artifacts)
         if not covered:
             findings.append(Finding(
                 "R9", Severity.ERROR,
@@ -419,17 +401,18 @@ def _rule_r9(ctx: _Ctx) -> list[Finding]:
     return findings
 
 
-def _rule_r10(ctx: _Ctx) -> list[Finding]:
-    subset = ctx.subset(ArgumentType.SOUNDNESS)
+def _rule_r10(model: GsnModel) -> list[Finding]:
+    subset = model.argument_subset(ArgumentType.SOUNDNESS)
     if not subset:
         return [Finding("R10", Severity.ERROR, "no soundness argument: no element "
                         "belongs to the soundness argument")]
     findings = []
-    if not ctx.role_members(subset, RoleTag.UNCERTAINTY_METHOD):
+    if not _role_members(model, subset, RoleTag.UNCERTAINTY_METHOD):
         findings.append(Finding(
             "R10", Severity.ERROR,
             "the soundness argument does not argue over applied uncertainty methods"))
-    if ctx.all_acps and not ctx.role_members(subset, RoleTag.ACP_RATIONALE):
+    uses_acps = any(e.acps for e in model.iter_elements())
+    if uses_acps and not _role_members(model, subset, RoleTag.ACP_RATIONALE):
         findings.append(Finding(
             "R10", Severity.ERROR,
             "assurance claim points are used but the soundness argument gives no "
@@ -437,12 +420,12 @@ def _rule_r10(ctx: _Ctx) -> list[Finding]:
     return findings
 
 
-def _rule_st1(ctx: _Ctx) -> list[Finding]:
-    process_scope = ctx.model.reachable_from(ctx.subset(ArgumentType.PROCESS))
+def _rule_st1(model: GsnModel) -> list[Finding]:
+    process_scope = model.reachable_from(model.argument_subset(ArgumentType.PROCESS))
     findings = []
     for name, argument_type in (("conformance", ArgumentType.CONFORMANCE),
                                 ("compliance", ArgumentType.COMPLIANCE)):
-        subset = ctx.subset(argument_type)
+        subset = model.argument_subset(argument_type)
         stray = sorted(subset - process_scope)
         if subset and stray:
             findings.append(Finding(
@@ -452,13 +435,13 @@ def _rule_st1(ctx: _Ctx) -> list[Finding]:
     return findings
 
 
-def _rule_d1(ctx: _Ctx) -> list[Finding]:
-    matrix = trace_registry(ctx.model, "risk_acceptance_criteria")
+def _rule_d1(model: GsnModel) -> list[Finding]:
+    matrix = trace_registry(model, "risk_acceptance_criteria")
     if matrix.vacuous:
         return [_vacuous("D1", "risk_acceptance_criteria")]
     findings = []
     by_level: dict[RacLevel, list] = {level: [] for level in RacLevel}
-    for criterion, row in zip(ctx.model.registries.risk_acceptance_criteria, matrix.rows):
+    for criterion, row in zip(model.registries.risk_acceptance_criteria, matrix.rows):
         by_level[criterion.level].append(row)
     for level in RacLevel:
         if not by_level[level]:
@@ -479,7 +462,7 @@ def _rule_d1(ctx: _Ctx) -> list[Finding]:
             level_tracers.update(row.covering_elements)
         covered = set()
         for eid in level_tracers:
-            covered |= set(ctx.model.index[eid].roles) & set(rac_roles)
+            covered |= set(model.index[eid].roles) & set(rac_roles)
         missing = [r.value for r in rac_roles if r not in covered]
         if missing:
             findings.append(Finding(
@@ -489,14 +472,14 @@ def _rule_d1(ctx: _Ctx) -> list[Finding]:
     return findings
 
 
-def _rule_d2(ctx: _Ctx) -> list[Finding]:
-    product = ctx.subset(ArgumentType.PRODUCT)
+def _rule_d2(model: GsnModel) -> list[Finding]:
+    product = model.argument_subset(ArgumentType.PRODUCT)
     if not product:
         return []
     findings = []
     for role, label in ((RoleTag.KNOWN_SCENARIOS, "known"),
                         (RoleTag.UNKNOWN_SCENARIOS, "unknown")):
-        if not ctx.role_members(product, role):
+        if not _role_members(model, product, role):
             findings.append(Finding(
                 "D2", Severity.ERROR,
                 f"the product argument does not argue over residual risk in "
@@ -504,8 +487,8 @@ def _rule_d2(ctx: _Ctx) -> list[Finding]:
     return findings
 
 
-def _rule_tl1(ctx: _Ctx) -> list[Finding]:
-    root = ctx.model.root
+def _rule_tl1(model: GsnModel) -> list[Finding]:
+    root = model.root
     if root is None:
         return []
     if TOP_CLAIM_PHRASE not in root.text.lower():
@@ -516,14 +499,14 @@ def _rule_tl1(ctx: _Ctx) -> list[Finding]:
     return []
 
 
-def _rule_ev1(ctx: _Ctx) -> list[Finding]:
+def _rule_ev1(model: GsnModel) -> list[Finding]:
     findings = []
-    for element in ctx.model.iter_elements():
+    for element in model.iter_elements():
         if element.kind is not ElementKind.SOLUTION:
             continue
         evidence = [a for a in element.artifacts
-                    if ctx.model.artifact_index.get(a) is not None
-                    and ctx.model.artifact_index[a].role is ArtifactRole.EVIDENCE]
+                    if model.artifact_index.get(a) is not None
+                    and model.artifact_index[a].role is ArtifactRole.EVIDENCE]
         if not evidence:
             findings.append(Finding(
                 "EV1", Severity.ERROR,
@@ -532,7 +515,7 @@ def _rule_ev1(ctx: _Ctx) -> list[Finding]:
     return findings
 
 
-_RULE_FUNCTIONS: dict[str, Callable[[_Ctx], list[Finding]]] = {
+_RULE_FUNCTIONS: dict[str, Callable[[GsnModel], list[Finding]]] = {
     "R1": _rule_r1, "R2": _rule_r2, "R3": _rule_r3, "R4": _rule_r4,
     "R5": _rule_r5, "R6": _rule_r6, "R7": _rule_r7, "R8": _rule_r8,
     "R9": _rule_r9, "R10": _rule_r10, "ST1": _rule_st1, "D1": _rule_d1,
@@ -555,10 +538,9 @@ def _run_rules(model: GsnModel, profile: RuleProfile, findings: list[Finding],
     """The one rule loop: add the profile's requirement rules to `findings`
     (unless `requirements` is off), apply severity overrides, and sort."""
     if requirements:
-        ctx = _Ctx(model)
         for rule, fn in _RULE_FUNCTIONS.items():
             if rule in profile.enabled_rules:
-                findings.extend(fn(ctx))
+                findings.extend(fn(model))
     return sort_findings(_apply_overrides(findings, profile))
 
 

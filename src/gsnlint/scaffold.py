@@ -50,8 +50,7 @@ class ScaffoldOptions:
 
 
 class _Builder:
-    def __init__(self, opts: ScaffoldOptions):
-        self.opts = opts
+    def __init__(self):
         self.elements: list[GsnElement] = []
         self.artifacts: list[Artifact] = []
 
@@ -96,7 +95,7 @@ class _Builder:
 
 def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
     opts = opts or ScaffoldOptions()
-    b = _Builder(opts)
+    b = _Builder()
     samples = opts.include_samples
 
     # Contextualization branch: one goal per declared context dimension,

@@ -90,8 +90,8 @@ def matrix_to_dict(matrix: TraceMatrix) -> dict:
     }
 
 
-def matrix_to_json(matrix: TraceMatrix, indent: int = 2) -> str:
-    return json.dumps(matrix_to_dict(matrix), indent=indent)
+def matrix_to_json(matrix: TraceMatrix) -> str:
+    return json.dumps(matrix_to_dict(matrix), indent=2)
 
 
 def acp_report(model: GsnModel) -> dict:

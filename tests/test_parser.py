@@ -150,6 +150,43 @@ class TestParseErrors:
         assert model is None
         assert [str(d) for d in diags] == expected
 
+    # A structural diagnostic points at the element its problem is about:
+    # each repeated copy of an id, the owner of a dangling reference or an
+    # assurance claim point, and the first element of a cycle.
+    @pytest.mark.parametrize("elements,expected", [
+        ("      - {id: G0, kind: goal, supported_by: [G1]}\n"
+         "      - {id: G1, kind: goal, supported_by: [G2]}\n"
+         "      - {id: G2, kind: goal, supported_by: [G1]}\n",
+         ["inline.sac.yaml:6:9: error: supported_by cycle: G1 -> G2 -> G1 [cycle]"]),
+        ("      - {id: G1, kind: goal}\n      - {id: G1, kind: goal}\n",
+         ["inline.sac.yaml:6:9: error: duplicate element id 'G1' [duplicate-id]"]),
+        ("      - {id: G1, kind: goal}\n" * 3,
+         ["inline.sac.yaml:6:9: error: duplicate element id 'G1' [duplicate-id]",
+          "inline.sac.yaml:7:9: error: duplicate element id 'G1' [duplicate-id]"]),
+        ("      - {id: G1, kind: goal}\n"
+         "      - {id: G2, kind: goal, in_context_of: [C9]}\n",
+         ["inline.sac.yaml:6:9: error: element 'G2' references unknown element 'C9' "
+          "[unresolved-ref]"]),
+        ("      - {id: Sn1, kind: solution}\n      - id: G1\n        kind: goal\n"
+         "        supported_by: [Sn1]\n"
+         "        acp: [{target: Sn1, relation: supported_by, confidence_goal: CG9}]\n",
+         ["inline.sac.yaml:6:9: error: assurance claim point on 'G1' references unknown "
+          "confidence goal 'CG9' [unresolved-ref]"]),
+        ("      - {id: Sn1, kind: solution}\n      - id: G1\n        kind: goal\n"
+         "        supported_by: [Sn1]\n"
+         "        acp: [{target: Sn2, relation: supported_by, confidence_goal: Sn1}]\n",
+         ["inline.sac.yaml:6:9: error: assurance claim point on 'G1' targets 'Sn2', "
+          "which is not in its supported_by list [invalid-acp]",
+          "inline.sac.yaml:6:9: error: confidence goal 'Sn1' of assurance claim point "
+          "on 'G1' is a solution, not a goal [invalid-acp]"]),
+    ], ids=["cycle", "duplicate-id", "duplicate-id-three-copies", "unresolved-ref",
+            "unresolved-ref-confidence-goal", "invalid-acp"])
+    def test_structural_diagnostic_positions(self, elements, expected):
+        text = "model: {id: d}\nmodules:\n  - id: m\n    elements:\n" + elements
+        model, diags = parse_text(text)
+        assert model is None
+        assert [str(d) for d in diags] == expected
+
     def test_non_scalar_key_in_a_registry_item_is_an_unknown_key(self):
         text = "model: {id: d}\nregistries:\n  hazards:\n    - {? [a] : b, id: H1}\n"
         model, diags = parse_text(text, lenient=True)

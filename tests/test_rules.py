@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import pytest
 
+from gsnlint.cli import main
 from gsnlint.findings import Severity
 from gsnlint.model import ElementKind, GsnElement, GsnModule, link_model
 from gsnlint.parser import load_model
 from gsnlint.rules import (
+    _RULE_FUNCTIONS,
     CATALOG,
+    PROFILE_RULES,
+    WF_RULES,
     PreconditionError,
     UnknownRuleError,
     check_requirements,
@@ -49,6 +53,14 @@ class TestCatalog:
         assert set(inst.enabled_rules) == {"ST1", "D1", "D2", "TL1", "EV1"}
         assert set(wf.enabled_rules) == {f"WF{i}" for i in range(1, 10)}
         assert set(everything.enabled_rules) == set(CATALOG)
+
+    def test_rule_tables_agree(self):
+        assert set(_RULE_FUNCTIONS) | set(WF_RULES) == set(CATALOG)
+        for name, rule_ids in PROFILE_RULES.items():
+            assert set(rule_ids) <= set(CATALOG), name
+        profile_option = next(p for p in main.commands["check"].params
+                              if p.name == "profile")
+        assert list(profile_option.type.choices) == list(PROFILE_RULES)
 
     def test_unknown_profile_and_rule(self):
         with pytest.raises(UnknownRuleError):
