@@ -12,7 +12,7 @@ cached.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -554,14 +554,3 @@ def _record_dict(record) -> dict:
 def models_equal(a: GsnModel, b: GsnModel) -> bool:
     return canonical_dict(a) == canonical_dict(b)
 
-
-def copy_model(model: GsnModel) -> GsnModel:
-    """Deep-enough copy for building mutated variants; caches are not shared."""
-    modules = [GsnModule(m.id, [replace(e) for e in m.elements]) for m in model.modules]
-    registries = Registries(
-        **{name: [replace(item) for item in getattr(model.registries, name)]
-           for name in REGISTRY_ITEMS},
-        context_dimensions=list(model.registries.context_dimensions),
-    )
-    artifacts = [replace(a) for a in model.artifacts]
-    return GsnModel(model.id, model.version, modules, registries, artifacts, model.fragmentary)

@@ -20,6 +20,7 @@ Fields that read as ``None`` are left to the dataclass default.
 from __future__ import annotations
 
 import enum
+import gc
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional, get_type_hints
 
@@ -43,6 +44,9 @@ from .model import (
 )
 
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# An explicit `!!bool` tag skips the resolver, so its value is checked here.
+_BOOL_VALUES = yaml.constructor.SafeConstructor.bool_values
 
 
 class _DocParser:
@@ -93,7 +97,9 @@ class _DocParser:
 
     def boolean(self, node, where: str) -> Optional[bool]:
         if isinstance(node, yaml.ScalarNode) and node.tag == "tag:yaml.org,2002:bool":
-            return node.value.lower() in ("true", "yes", "on")
+            value = _BOOL_VALUES.get(node.value.lower())
+            if value is not None:
+                return value
         self.error(node, "bad-type", f"{where} must be a boolean")
         return None
 
@@ -258,7 +264,23 @@ def parse_model(
     Returns ``(model, diagnostics)``; the model is ``None`` exactly when at
     least one Error diagnostic was produced.  In lenient mode unknown keys
     demote to warnings.
+
+    The cyclic garbage collector is paused for the call and left as it was
+    found: the node tree and the model are many small objects, and the
+    collector would rescan them again and again as they grow.
     """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_documents(documents, lenient)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _parse_documents(
+    documents: list[tuple[str, str]], lenient: bool
+) -> tuple[Optional[GsnModel], list[ParseDiagnostic]]:
     diags: list[ParseDiagnostic] = []
     if not documents:
         diags.append(ParseDiagnostic(

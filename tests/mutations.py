@@ -5,11 +5,18 @@ other new Error."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from gsnlint.findings import Severity
-from gsnlint.model import ArgumentType, GsnModel, HazardStatus, copy_model
+from gsnlint.model import (
+    REGISTRY_ITEMS,
+    ArgumentType,
+    GsnModel,
+    GsnModule,
+    HazardStatus,
+    Registries,
+)
 
 
 @dataclass(frozen=True)
@@ -26,6 +33,18 @@ def _element(model: GsnModel, eid: str):
             if element.id == eid:
                 return element
     raise KeyError(eid)
+
+
+def copy_model(model: GsnModel) -> GsnModel:
+    """Deep-enough copy for building mutated variants; caches are not shared."""
+    modules = [GsnModule(m.id, [replace(e) for e in m.elements]) for m in model.modules]
+    registries = Registries(
+        **{name: [replace(item) for item in getattr(model.registries, name)]
+           for name in REGISTRY_ITEMS},
+        context_dimensions=list(model.registries.context_dimensions),
+    )
+    artifacts = [replace(a) for a in model.artifacts]
+    return GsnModel(model.id, model.version, modules, registries, artifacts, model.fragmentary)
 
 
 def mutate(model: GsnModel, mutation: Mutation) -> GsnModel:

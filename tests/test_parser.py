@@ -1,11 +1,17 @@
 from __future__ import annotations
 
-import pytest
+import gc
+import time
 
-from gsnlint.model import ArgumentType, ElementKind, models_equal
+import pytest
+import yaml
+
+from gsnlint import parser
+from gsnlint.model import ArgumentType, ElementKind, canonical_dict, models_equal
 from gsnlint.parser import load_model, parse_model, serialize_model
 
 from conftest import FIXTURES, bad_fixture_paths, good_fixture_groups
+from genmodels import big_model
 
 
 MINIMAL = """\
@@ -187,6 +193,20 @@ class TestParseErrors:
         assert model is None
         assert [str(d) for d in diags] == expected
 
+    # An explicit `!!bool` tag bypasses the resolver: only the YAML 1.1
+    # spellings PyYAML's SafeConstructor accepts read as booleans.
+    @pytest.mark.parametrize("text,expected", [
+        ("model: {id: d}\nmodules:\n  - id: m\n    elements:\n"
+         "      - {id: G1, kind: goal, undeveloped: !!bool maybe}\n",
+         ["inline.sac.yaml:5:43: error: undeveloped must be a boolean [bad-type]"]),
+        ("model: {id: d, fragmentary: !!bool 1}\n",
+         ["inline.sac.yaml:1:29: error: fragmentary must be a boolean [bad-type]"]),
+    ], ids=["undeveloped", "fragmentary"])
+    def test_explicit_bool_tag_with_a_non_boolean_value(self, text, expected):
+        model, diags = parse_text(text)
+        assert model is None
+        assert [str(d) for d in diags] == expected
+
     def test_non_scalar_key_in_a_registry_item_is_an_unknown_key(self):
         text = "model: {id: d}\nregistries:\n  hazards:\n    - {? [a] : b, id: H1}\n"
         model, diags = parse_text(text, lenient=True)
@@ -210,3 +230,76 @@ class TestRoundTrip:
             once = serialize_model(model)
             again, _ = parse_text(once)
             assert serialize_model(again) == once, name
+
+
+@pytest.mark.parametrize("spelling,value", [
+    ("yes", True), ("No", False), ("TRUE", True), ("fAlSe", False), ("On", True), ("off", False),
+])
+def test_explicit_bool_tag_accepts_yaml_1_1_spellings(spelling, value):
+    model, diags = parse_text(MINIMAL.replace(
+        "kind: solution\n", f"kind: solution\n        undeveloped: !!bool {spelling}\n"))
+    assert diags == []
+    assert model.resolve("SN1").undeveloped is value
+
+
+class TestGcPause:
+    """`parse_model` pauses the cyclic collector and restores the caller's setting."""
+
+    def test_enabled_collector_is_enabled_after_the_call(self):
+        assert gc.isenabled()
+        parse_text(MINIMAL)
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            parse_text(MINIMAL)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_is_restored_when_compose_raises(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("compose failed")
+
+        monkeypatch.setattr(yaml, "compose", broken)
+        with pytest.raises(RuntimeError, match="compose failed"):
+            parse_text(MINIMAL)
+        assert gc.isenabled()
+
+    def test_compose_and_structural_guards_run_paused(self, monkeypatch):
+        seen = []
+        compose, find = yaml.compose, parser.find_structural_problems
+
+        def spy(real, name):
+            def wrapper(*args, **kwargs):
+                seen.append((name, gc.isenabled()))
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(yaml, "compose", spy(compose, "compose"))
+        monkeypatch.setattr(parser, "find_structural_problems",
+                            spy(find, "find_structural_problems"))
+        model, _ = parse_text(MINIMAL)
+        assert model is not None
+        assert seen == [("compose", False), ("find_structural_problems", False)]
+        assert gc.isenabled()
+
+
+def test_parse_time_grows_linearly():
+    """Parsing a model 4x larger costs at most 6x the time (quadratic would be 16x)."""
+    def best_time(text):
+        documents = [("big.sac.yaml", text)]
+        times = []
+        for _ in range(3):
+            start = time.process_time()
+            model, _ = parse_model(documents)
+            times.append(time.process_time() - start)
+            assert model is not None
+        return min(times)
+
+    small, large = (
+        yaml.dump(canonical_dict(big_model(n, n // 2)), Dumper=yaml.CSafeDumper, sort_keys=False)
+        for n in (2500, 10000))
+    ratio = best_time(large) / best_time(small)
+    assert ratio <= 6, f"parse_model at 10k took {ratio:.2f}x its time at 2.5k"
