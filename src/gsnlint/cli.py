@@ -8,6 +8,7 @@ internal error).  Reports go to stdout, diagnostics to stderr.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -63,10 +64,12 @@ class _Main(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (click.exceptions.Exit, click.Abort, click.ClickException, BrokenPipeError):
-            # Click's own control flow (Exit and Abort are RuntimeErrors), and
-            # a closed output pipe, which click ends quietly.
-            raise
+        except (click.exceptions.Exit, click.Abort, click.ClickException):
+            raise  # click's own control flow (Exit and Abort are RuntimeErrors)
+        except BrokenPipeError:
+            # The reader stopped early: end quietly with the code the command set.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(ctx.meta.get("exit_code", 0))
         except Exception as exc:
             click.echo(f"gsnlint: internal error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(3)
@@ -105,10 +108,12 @@ def check(paths, profile, fmt, lenient, strict_warnings, severity_pairs) -> None
         acp_report=acp_report(model),
         evidence_report=evidence_report(model),
     )
-    click.echo(emit_findings(bundle, fmt), nl=False)
     summary = bundle.summary
-    if summary["errors"] or (strict_warnings and summary["warnings"]):
-        sys.exit(1)
+    code = 1 if summary["errors"] or (strict_warnings and summary["warnings"]) else 0
+    click.get_current_context().meta["exit_code"] = code  # kept if stdout closes early
+    click.echo(emit_findings(bundle, fmt), nl=False)
+    if code:
+        sys.exit(code)
 
 
 @main.command()

@@ -12,7 +12,7 @@ cached.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -334,23 +334,22 @@ class GsnModel:
     def artifact_index(self) -> dict[str, Artifact]:
         return {a.id: a for a in self.artifacts}
 
-    @cached_property
-    def support_parents(self) -> dict[str, list[str]]:
-        parents: dict[str, list[str]] = {eid: [] for eid in self.index}
-        for element in self.index.values():
-            for child in element.supported_by:
-                if child in parents:
-                    parents[child].append(element.id)
-        return parents
-
-    @cached_property
-    def context_referencers(self) -> dict[str, list[str]]:
+    def _referrers(self, relation: str) -> dict[str, list[str]]:
+        """Inverse of a relation: element id -> ids of the elements naming it."""
         refs: dict[str, list[str]] = {eid: [] for eid in self.index}
         for element in self.index.values():
-            for target in element.in_context_of:
+            for target in getattr(element, relation):
                 if target in refs:
                     refs[target].append(element.id)
         return refs
+
+    @cached_property
+    def support_parents(self) -> dict[str, list[str]]:
+        return self._referrers("supported_by")
+
+    @cached_property
+    def context_referencers(self) -> dict[str, list[str]]:
+        return self._referrers("in_context_of")
 
     @cached_property
     def topo_order(self) -> list[str]:
@@ -369,13 +368,15 @@ class GsnModel:
         return order
 
     @cached_property
+    def root_goals(self) -> tuple[str, ...]:
+        """Sorted ids of the goals with no incoming supported_by edge."""
+        return tuple(sorted(eid for eid, e in self.index.items()
+                            if e.kind is ElementKind.GOAL and not self.support_parents[eid]))
+
+    @cached_property
     def root(self) -> Optional[GsnElement]:
-        """The unique goal with no incoming supported_by edge, if there is one."""
-        roots = [e for e in self.index.values()
-                 if e.kind is ElementKind.GOAL and not self.support_parents[e.id]]
-        if len(roots) == 1:
-            return roots[0]
-        return None
+        """The unique root goal, if there is exactly one."""
+        return self.index[self.root_goals[0]] if len(self.root_goals) == 1 else None
 
     @cached_property
     def effective_types(self) -> dict[str, frozenset[ArgumentType]]:
@@ -403,6 +404,15 @@ class GsnModel:
                     inherited |= eff.get(referencer, frozenset())
                 eff[eid] = frozenset(inherited)
         return eff
+
+    @cached_property
+    def argument_subsets(self) -> dict[ArgumentType, frozenset[str]]:
+        """Argument type -> ids of its member elements, in one pass."""
+        members: dict[ArgumentType, list[str]] = {t: [] for t in ArgumentType}
+        for eid, types in self.effective_types.items():
+            for argument_type in types:
+                members[argument_type].append(eid)
+        return {t: frozenset(eids) for t, eids in members.items()}
 
     @cached_property
     def has_solution_descendant(self) -> dict[str, bool]:
@@ -440,8 +450,9 @@ class GsnModel:
         except KeyError:
             raise UnknownIdError(element_id) from None
 
-    def argument_subset(self, argument_type: ArgumentType) -> set[str]:
-        return {eid for eid, types in self.effective_types.items() if argument_type in types}
+    def argument_subset(self, argument_type: ArgumentType) -> frozenset[str]:
+        """The shared, immutable member set of one argument."""
+        return self.argument_subsets[argument_type]
 
     def descendants(self, element_id: str) -> set[str]:
         """Transitive supported_by closure plus contextual sinks, start excluded."""
@@ -502,7 +513,7 @@ def canonical_dict(model: GsnModel) -> dict:
         {
             "id": module.id,
             "elements": [
-                _element_dict(e) for e in sorted(module.elements, key=lambda e: e.id)
+                _record_dict(e) for e in sorted(module.elements, key=lambda e: e.id)
             ],
         }
         for module in model.modules
@@ -515,40 +526,29 @@ def canonical_dict(model: GsnModel) -> dict:
     return out
 
 
-def _element_dict(element: GsnElement) -> dict:
-    out: dict = {"id": element.id, "kind": element.kind.value, "text": element.text}
-    if element.undeveloped:
-        out["undeveloped"] = True
-    if element.argument_type is not None:
-        out["argument_type"] = element.argument_type.value
-    if element.roles:
-        out["roles"] = sorted(r.value for r in element.roles)
-    if element.supported_by:
-        out["supported_by"] = list(element.supported_by)
-    if element.in_context_of:
-        out["in_context_of"] = list(element.in_context_of)
-    if element.traces:
-        out["traces"] = sorted(element.traces)
-    if element.artifacts:
-        out["artifacts"] = sorted(element.artifacts)
-    if element.acps:
-        out["acp"] = [
-            {"target": a.target, "relation": a.relation.value,
-             "confidence_goal": a.confidence_goal}
-            for a in element.acps
-        ]
-    return out
-
-
 def _record_dict(record) -> dict:
-    """A registry item or artifact in field order: enums as their values,
-    None fields dropped."""
+    """Any model record in field order: enums as their values, frozensets
+    sorted, tuples as lists of plain values; None, False and empty
+    collections dropped, strings always kept, `location` never written and
+    `acps` under its YAML key `acp`."""
     out: dict = {}
     for f in fields(record):
         value = getattr(record, f.name)
-        if value is not None:
-            out[f.name] = value.value if isinstance(value, enum.Enum) else value
+        if f.name != "location" and (value or isinstance(value, str)):
+            out["acp" if f.name == "acps" else f.name] = _plain(value)
     return out
+
+
+def _plain(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, frozenset):
+        return sorted(_plain(v) for v in value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return _record_dict(value)
+    return value
 
 
 def models_equal(a: GsnModel, b: GsnModel) -> bool:

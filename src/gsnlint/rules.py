@@ -204,9 +204,20 @@ def catalog_as_json() -> str:
 # -- rules ---------------------------------------------------------
 
 
-def _role_members(model: GsnModel, subset: set[str], role: RoleTag) -> list[str]:
+def _role_members(model: GsnModel, subset: frozenset[str], role: RoleTag) -> list[str]:
     """Sorted ids of the elements of `subset` that carry `role`."""
     return sorted(eid for eid in subset if role in model.index[eid].roles)
+
+
+def _missing_roles(model: GsnModel, rule: str, argument_type: ArgumentType,
+                   checks: tuple[tuple[RoleTag, str], ...]) -> list[Finding]:
+    """One Error per (role, message) whose role no member of a non-empty
+    argument carries; an empty argument is R5's finding, not this rule's."""
+    subset = model.argument_subset(argument_type)
+    if not subset:
+        return []
+    return [Finding(rule, Severity.ERROR, message) for role, message in checks
+            if not _role_members(model, subset, role)]
 
 
 def _vacuous(rule: str, registry_name: str) -> Finding:
@@ -348,17 +359,10 @@ def _rule_r6(model: GsnModel) -> list[Finding]:
 
 
 def _rule_r7(model: GsnModel) -> list[Finding]:
-    process = model.argument_subset(ArgumentType.PROCESS)
-    if not process:
-        return []  # absence of the process argument is R5's finding
-    findings = []
-    for role, label in ((RoleTag.LIFECYCLE_OPERATION, "operation"),
-                        (RoleTag.LIFECYCLE_MAINTENANCE, "maintenance")):
-        if not _role_members(model, process, role):
-            findings.append(Finding(
-                "R7", Severity.ERROR,
-                f"the process argument does not address lifecycle {label}"))
-    return findings
+    lacks = "the process argument does not address lifecycle"
+    return _missing_roles(model, "R7", ArgumentType.PROCESS, (
+        (RoleTag.LIFECYCLE_OPERATION, f"{lacks} operation"),
+        (RoleTag.LIFECYCLE_MAINTENANCE, f"{lacks} maintenance")))
 
 
 def _rule_r8(model: GsnModel) -> list[Finding]:
@@ -473,18 +477,10 @@ def _rule_d1(model: GsnModel) -> list[Finding]:
 
 
 def _rule_d2(model: GsnModel) -> list[Finding]:
-    product = model.argument_subset(ArgumentType.PRODUCT)
-    if not product:
-        return []
-    findings = []
-    for role, label in ((RoleTag.KNOWN_SCENARIOS, "known"),
-                        (RoleTag.UNKNOWN_SCENARIOS, "unknown")):
-        if not _role_members(model, product, role):
-            findings.append(Finding(
-                "D2", Severity.ERROR,
-                f"the product argument does not argue over residual risk in "
-                f"{label} scenarios"))
-    return findings
+    lacks = "the product argument does not argue over residual risk in"
+    return _missing_roles(model, "D2", ArgumentType.PRODUCT, (
+        (RoleTag.KNOWN_SCENARIOS, f"{lacks} known scenarios"),
+        (RoleTag.UNKNOWN_SCENARIOS, f"{lacks} unknown scenarios")))
 
 
 def _rule_tl1(model: GsnModel) -> list[Finding]:

@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .model import AcpRelation, ArgumentType, ElementKind, GsnModel, UnknownRegistryError
+from .model import AcpRelation, ArgumentType, ElementKind, GsnModel
 
 #: Which argument subset may cover which registry.
 REGISTRY_SUBSETS: dict[str, ArgumentType] = {
@@ -50,11 +50,11 @@ def trace_registry(model: GsnModel, registry_name: str) -> TraceMatrix:
     An empty registry reports coverage 1.0 with the vacuous flag set, so
     threshold-style consumers stay simple.
     """
-    if registry_name not in REGISTRY_SUBSETS:
-        raise UnknownRegistryError(registry_name)
+    # item_ids raises UnknownRegistryError, so an unknown name never reaches the subset lookup.
+    item_ids = model.registries.item_ids(registry_name)
     subset = model.argument_subset(REGISTRY_SUBSETS[registry_name])
     rows = []
-    for item_id in model.registries.item_ids(registry_name):
+    for item_id in item_ids:
         covering = tuple(eid for eid in model.item_tracers.get(item_id, ()) if eid in subset)
         backed = any(model.has_solution_descendant[eid] for eid in covering)
         rows.append(TraceRow(item_id, covering, backed))

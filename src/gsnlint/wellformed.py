@@ -120,15 +120,11 @@ def check_wellformed(model: GsnModel) -> list[Finding]:
                 "WF7", Severity.WARNING,
                 f"module '{module.id}' has {len(local_roots)} root elements",
                 tuple(sorted(local_roots))))
-    if not model.fragmentary:
-        global_roots = sorted(
-            e.id for e in model.iter_elements()
-            if e.kind is ElementKind.GOAL and not model.support_parents[e.id])
-        if len(global_roots) != 1:
-            findings.append(Finding(
-                "WF7", Severity.WARNING,
-                f"model has {len(global_roots)} global root goals "
-                f"(expected exactly one; declare 'fragmentary' if intentional)",
-                tuple(global_roots)))
+    if not model.fragmentary and len(model.root_goals) != 1:
+        findings.append(Finding(
+            "WF7", Severity.WARNING,
+            f"model has {len(model.root_goals)} global root goals "
+            f"(expected exactly one; declare 'fragmentary' if intentional)",
+            model.root_goals))
 
     return sort_findings(findings)

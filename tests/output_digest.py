@@ -1,0 +1,102 @@
+"""Digest of the CLI's observable output, for byte-identity checks.
+
+Runs `check`, `trace` and `render` under fixed option variants over every
+good and bad fixture and `random_model` seeds 0-99, in process through
+click's CliRunner, and prints one sha256 per command family over each
+run's (argv, exit code, stdout, stderr).  Inputs are copied into a
+temporary directory and named by relative paths, so the digest does not
+depend on where the checkout lives.  It tests whichever `gsnlint` is
+importable; to compare two checkouts, run it once against each:
+
+    PYTHONPATH=<checkout>/src python tests/output_digest.py
+
+Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from click.testing import CliRunner
+
+from conftest import FIXTURES, bad_fixture_paths, good_fixture_groups
+from genmodels import random_model
+from gsnlint import cli
+from gsnlint.parser import serialize_model
+
+SEEDS = range(100)
+PROFILES = ("core", "instantiation", "gsn-wf", "all")
+REGISTRIES = ("hazards", "normative_requirements", "regulatory_requirements",
+              "risk_acceptance_criteria")
+
+#: Command family -> option variants; each variant runs once per input.
+VARIANTS: dict[str, list[list[str]]] = {
+    "check": [["check", "--profile", profile, "--format", fmt]
+              for profile in PROFILES for fmt in ("text", "json")]
+             + [["check", "--strict-warnings"], ["check", "--lenient"]],
+    "trace": [["trace", registry, "--format", fmt]
+              for registry in REGISTRIES for fmt in ("csv", "json")],
+    "render": [["render"], ["render", "--color-by-type"]],
+}
+
+
+def write_inputs(root: Path) -> list[list[str]]:
+    """Copy the fixtures and write the random models under `root`; return
+    each input's file list, relative to `root`."""
+    inputs: list[list[str]] = []
+    (root / "fixtures" / "bad").mkdir(parents=True)
+    groups = [paths for _, paths in good_fixture_groups()]
+    groups += [[path] for path in bad_fixture_paths()]
+    for paths in groups:
+        names = [path.relative_to(FIXTURES.parent).as_posix() for path in paths]
+        for path, name in zip(paths, names):
+            shutil.copyfile(path, root / name)
+        inputs.append(names)
+    (root / "random").mkdir()
+    for seed in SEEDS:
+        name = f"random/seed-{seed:03d}.sac.yaml"
+        (root / name).write_text(serialize_model(random_model(seed)), encoding="utf-8")
+        inputs.append([name])
+    return inputs
+
+
+def digests(inputs: list[list[str]]) -> dict[str, tuple[str, int]]:
+    """Command family -> (sha256 over every run, number of runs)."""
+    runner = CliRunner()
+    out = {}
+    for family, variants in VARIANTS.items():
+        sha = hashlib.sha256()
+        runs = 0
+        for files in inputs:
+            for variant in variants:
+                argv = variant + files
+                result = runner.invoke(cli.main, argv)
+                record = [argv, result.exit_code, result.stdout, result.stderr]
+                sha.update(json.dumps(record).encode("utf-8") + b"\n")
+                runs += 1
+        out[family] = (sha.hexdigest(), runs)
+    return out
+
+
+def main() -> None:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            results = digests(write_inputs(Path(tmp)))
+        finally:
+            os.chdir(cwd)
+    for family, (digest, runs) in results.items():
+        print(f"{family:7} {digest}  ({runs} runs)")
+
+
+if __name__ == "__main__":
+    main()

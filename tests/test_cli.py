@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gsnlint
 from gsnlint import cli
 from gsnlint.cli import main
 
@@ -209,3 +214,25 @@ class TestRules:
         result = runner.invoke(main, ["rules", "--format", "text"])
         assert result.exit_code == 0
         assert "R1" in result.output
+
+
+class TestClosedPipe:
+    """A reader that stops early changes no exit code and prints nothing."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["rules"], 0),
+        (["check", fixture("28-scaffold-default.sac.yaml")], 0),
+        (["check", fixture("22-root-only.sac.yaml")], 1),
+    ])
+    def test_exit_code_is_the_commands_own(self, args, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(gsnlint.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gsnlint.cli", *args],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert proc.stderr == b""

@@ -1,18 +1,37 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from gsnlint.model import (
+    AcpRelation,
     ArgumentType,
+    Artifact,
+    ArtifactRole,
+    AssuranceClaimPoint,
     ElementKind,
     GsnElement,
+    GsnModel,
     GsnModule,
+    Hazard,
+    HazardStatus,
     ModelError,
+    NormativeRequirement,
+    RacLevel,
+    Registries,
+    RegulatoryRequirement,
+    RiskAcceptanceCriterion,
+    RoleTag,
+    SourceLocation,
     UnknownIdError,
+    canonical_dict,
     link_model,
 )
+from gsnlint.parser import load_model
+from gsnlint.wellformed import check_wellformed
+from conftest import good_fixture_groups
 from genmodels import random_model
 
 
@@ -99,6 +118,16 @@ class TestArgumentSubset:
             expected = _fixpoint_subsets(model)
             for t in ArgumentType:
                 assert model.argument_subset(t) == expected[t], (seed, t)
+
+    def test_subsets_are_shared_frozensets(self):
+        for seed in range(25):
+            model = random_model(seed)
+            expected = _fixpoint_subsets(model)
+            for t in ArgumentType:
+                subset = model.argument_subset(t)
+                assert isinstance(subset, frozenset), (seed, t)
+                assert model.argument_subset(t) is subset, (seed, t)
+                assert subset == expected[t], (seed, t)
 
 
 def _fixpoint_subsets(model):
@@ -211,3 +240,154 @@ class TestTagMonotonicity:
                 lost = before[t] - after[t]
                 assert lost <= scope, (seed, t, lost)
             victim.argument_type = None
+
+
+def _models_with_fixtures():
+    """random_model seeds 0-99, then every good fixture."""
+    for seed in range(100):
+        yield f"seed {seed}", random_model(seed)
+    for name, paths in good_fixture_groups():
+        model, diags = load_model(paths)
+        assert model is not None, (name, diags)
+        yield name, model
+
+
+def _root_goal_oracle(model):
+    """Goals that no element lists in supported_by, by a plain scan."""
+    children = {c for e in model.iter_elements() for c in e.supported_by}
+    return tuple(sorted(e.id for e in model.iter_elements()
+                        if e.kind is ElementKind.GOAL and e.id not in children))
+
+
+class TestRootGoals:
+    def test_root_set_exactly_when_one_root_goal(self):
+        for name, model in _models_with_fixtures():
+            assert model.root_goals == _root_goal_oracle(model), name
+            if len(model.root_goals) == 1:
+                assert model.root is model.index[model.root_goals[0]], name
+            else:
+                assert model.root is None, name
+
+    @pytest.mark.parametrize("elements, roots", [
+        ([goal("G1", supported_by=("G2",)), goal("G2")], ("G1",)),
+        ([goal("G2"), goal("G1")], ("G1", "G2")),
+        ([strategy("S1", supported_by=("G1",)), goal("G1")], ()),
+    ])
+    def test_hand_built_roots(self, elements, roots):
+        model = link_model("m", modules=[GsnModule("a", elements)])
+        assert model.root_goals == roots
+        assert (model.root is not None) == (len(roots) == 1)
+
+    def test_wf7_global_finding_lists_root_goals(self):
+        hand_built = [
+            ("two roots", link_model("m", modules=[GsnModule("a", [goal("G2"), goal("G1")])])),
+            ("no root", link_model("m", modules=[GsnModule("a", [strategy("S1")])])),
+        ]
+        for name, model in [*_models_with_fixtures(), *hand_built]:
+            if model.fragmentary:
+                continue
+            global_findings = [f.elements for f in check_wellformed(model)
+                               if f.rule == "WF7" and "global root goals" in f.message]
+            expected = [] if len(model.root_goals) == 1 else [model.root_goals]
+            assert global_findings == expected, name
+
+
+def _canonical(elements=(), artifacts=(), **registries):
+    """canonical_dict of a one-module model holding `elements`, the given
+    registries and the given artifacts."""
+    return canonical_dict(GsnModel(
+        "m", modules=[GsnModule("a", list(elements))],
+        registries=Registries(**registries), artifacts=list(artifacts)))
+
+
+def _exact(actual, expected):
+    """Equal with the same key order at every level."""
+    return json.dumps(actual) == json.dumps(expected)
+
+
+def _all_keys(data) -> set:
+    if isinstance(data, dict):
+        return set(data).union(*(_all_keys(v) for v in data.values()))
+    if isinstance(data, list):
+        return set().union(*(_all_keys(v) for v in data))
+    return set()
+
+
+class TestRecordWriter:
+    LOCATION = SourceLocation("m.sac.yaml", 3, 5)
+
+    def test_element_and_acps_every_field_set(self):
+        element = GsnElement(
+            "G1", ElementKind.GOAL, "claim", undeveloped=True,
+            argument_type=ArgumentType.RISK,
+            roles={RoleTag.HAZARD_MANAGEMENT, RoleTag.GLOBAL_RAC},
+            supported_by=("G3", "G2"), in_context_of=("C1",),
+            traces={"H2", "H1"}, artifacts={"A2", "A1"},
+            acps=(AssuranceClaimPoint("G3", AcpRelation.SUPPORTED_BY, "CG1"),
+                  AssuranceClaimPoint("C1", AcpRelation.IN_CONTEXT_OF, "CG2")),
+            location=self.LOCATION)
+        out = _canonical([element])["modules"][0]["elements"]
+        assert _exact(out, [{
+            "id": "G1", "kind": "goal", "text": "claim", "undeveloped": True,
+            "argument_type": "risk", "roles": ["global_rac", "hazard_management"],
+            "supported_by": ["G3", "G2"], "in_context_of": ["C1"],
+            "traces": ["H1", "H2"], "artifacts": ["A1", "A2"],
+            "acp": [
+                {"target": "G3", "relation": "supported_by", "confidence_goal": "CG1"},
+                {"target": "C1", "relation": "in_context_of", "confidence_goal": "CG2"},
+            ],
+        }]), out
+
+    def test_element_every_field_unset(self):
+        out = _canonical([GsnElement("C1", ElementKind.CONTEXT, location=self.LOCATION)])
+        assert _exact(out["modules"][0]["elements"],
+                      [{"id": "C1", "kind": "context", "text": ""}]), out
+
+    def test_registry_items_and_artifact_every_field_set(self):
+        out = _canonical(
+            hazards=[Hazard("H1", "fall", HazardStatus.MANAGED)],
+            regulatory_requirements=[RegulatoryRequirement("RR1", "law", "be safe")],
+            normative_requirements=[NormativeRequirement("NR1", "ISO", "do x", "chosen")],
+            risk_acceptance_criteria=[
+                RiskAcceptanceCriterion("RAC1", RacLevel.SCENARIO, "rare")],
+            context_dimensions=["odd"],
+            artifacts=[Artifact("A1", ArtifactRole.CONTEXT_DOC, "ODD", "odd.pdf", "odd")])
+        assert _exact(out["registries"], {
+            "hazards": [{"id": "H1", "description": "fall", "status": "managed"}],
+            "regulatory_requirements": [
+                {"id": "RR1", "source": "law", "text": "be safe"}],
+            "normative_requirements": [
+                {"id": "NR1", "source": "ISO", "text": "do x",
+                 "selection_rationale": "chosen"}],
+            "risk_acceptance_criteria": [
+                {"id": "RAC1", "level": "scenario", "text": "rare"}],
+            "context_dimensions": ["odd"],
+        }), out["registries"]
+        assert _exact(out["artifacts"], [
+            {"id": "A1", "role": "context_doc", "title": "ODD", "uri": "odd.pdf",
+             "dimension": "odd"}]), out["artifacts"]
+
+    def test_registry_items_and_artifact_every_field_unset(self):
+        out = _canonical(
+            hazards=[Hazard("H1")],
+            regulatory_requirements=[RegulatoryRequirement("RR1")],
+            normative_requirements=[NormativeRequirement("NR1")],
+            risk_acceptance_criteria=[RiskAcceptanceCriterion("RAC1")],
+            context_dimensions=[],
+            artifacts=[Artifact("A1", ArtifactRole.EVIDENCE)])
+        assert _exact(out["registries"], {
+            "hazards": [{"id": "H1", "description": "", "status": "open"}],
+            "regulatory_requirements": [{"id": "RR1", "source": "", "text": ""}],
+            "normative_requirements": [{"id": "NR1", "source": "", "text": ""}],
+            "risk_acceptance_criteria": [{"id": "RAC1", "level": "global", "text": ""}],
+            "context_dimensions": [],
+        }), out["registries"]
+        assert _exact(out["artifacts"],
+                      [{"id": "A1", "role": "evidence", "title": "", "uri": ""}]), out
+
+    def test_no_location_key_anywhere(self):
+        located = GsnElement("G1", ElementKind.GOAL, location=self.LOCATION)
+        models = [*_models_with_fixtures(),
+                  ("hand-built", GsnModel("m", modules=[GsnModule("a", [located])]))]
+        for name, model in models:
+            assert "location" not in _all_keys(canonical_dict(model)), name

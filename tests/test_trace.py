@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from gsnlint.model import UnknownRegistryError
 from gsnlint.parser import load_model
 from gsnlint.trace import (
     REGISTRY_SUBSETS,
@@ -49,6 +50,11 @@ class TestTraceMatrix:
     def test_unknown_registry_rejected(self, traces_model):
         with pytest.raises(KeyError):
             trace_registry(traces_model, "unicorns")
+
+    @pytest.mark.parametrize("name", ["unicorns", "context_dimensions"])
+    def test_unknown_registry_raises_unknown_registry_error(self, traces_model, name):
+        with pytest.raises(UnknownRegistryError):
+            trace_registry(traces_model, name)
 
     def test_covering_elements_match_brute_force(self):
         # Oracle: scan every element's traces list directly.
