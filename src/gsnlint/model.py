@@ -272,24 +272,24 @@ def find_structural_problems(modules: Iterable[GsnModule]) -> list[StructuralPro
                     f"on '{element.id}' is a {goal.kind.value}, not a goal",
                     (element.id, acp.confidence_goal), element.location))
 
-    for cycle in _find_cycles(index):
+    for cycle in _walk(index, index)[1]:
         problems.append(StructuralProblem(
             "cycle", "supported_by cycle: " + " -> ".join((*cycle, cycle[0])), cycle,
             index[cycle[0]].location))
     return problems
 
 
-def _find_cycles(index: dict[str, GsnElement]) -> list[tuple[str, ...]]:
-    """Cycles of the supported_by relation, each reported once.
-
-    Iterative depth-first search with an explicit path, so chain depth is
-    unbounded; starts in index order, children in declared order.
-    """
-    done: set[str] = set()
+def _walk(index: dict[str, GsnElement],
+         starts: Iterable[str]) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The graph layer's one traversal: an iterative depth-first search along
+    supported_by (chain depth is unbounded) from `starts` in order, skipping
+    ids not in `index`, children in declared order.  Returns the elements
+    reached, in post-order, and every cycle met, each reported once."""
+    done: dict[str, None] = {}  # finished elements, in post-order
     on_path: dict[str, int] = {}  # element on the current path -> its position
     cycles: list[tuple[str, ...]] = []
-    for start in index:
-        if start in done:
+    for start in starts:
+        if start in done or start not in index:
             continue
         path = [start]
         on_path[start] = 0
@@ -307,8 +307,8 @@ def _find_cycles(index: dict[str, GsnElement]) -> list[tuple[str, ...]]:
                 children.pop()
                 node = path.pop()
                 del on_path[node]
-                done.add(node)
-    return cycles
+                done[node] = None
+    return list(done), cycles
 
 
 @dataclass
@@ -353,19 +353,9 @@ class GsnModel:
 
     @cached_property
     def topo_order(self) -> list[str]:
-        """Elements ordered parents-before-children along supported_by."""
-        indegree = {eid: len(parents) for eid, parents in self.support_parents.items()}
-        queue = sorted(eid for eid, deg in indegree.items() if deg == 0)
-        order: list[str] = []
-        while queue:
-            eid = queue.pop()
-            order.append(eid)
-            for child in self.index[eid].supported_by:
-                if child in indegree:
-                    indegree[child] -= 1
-                    if indegree[child] == 0:
-                        queue.append(child)
-        return order
+        """Every element, parents before children along supported_by where
+        the relation is acyclic: the walk's post-order, reversed."""
+        return _walk(self.index, self.index)[0][::-1]
 
     @cached_property
     def root_goals(self) -> tuple[str, ...]:
@@ -462,17 +452,11 @@ class GsnModel:
     def reachable_from(self, element_ids: Iterable[str]) -> set[str]:
         """The given elements, their transitive supported_by closure, and the
         in_context_of targets of every element in it, in one shared pass."""
-        seen: set[str] = set()
-        frontier = [eid for eid in element_ids if eid in self.index]
-        while frontier:
-            eid = frontier.pop()
-            if eid in seen:
-                continue
-            seen.add(eid)
-            element = self.index[eid]
-            seen.update(c for c in element.in_context_of if c in self.index)
-            frontier.extend(c for c in element.supported_by if c in self.index)
-        return seen
+        closure = _walk(self.index, element_ids)[0]
+        reached = set(closure)
+        for eid in closure:
+            reached.update(c for c in self.index[eid].in_context_of if c in self.index)
+        return reached
 
 
 def link_model(

@@ -81,7 +81,8 @@ class _DocParser:
         if not isinstance(node, yaml.MappingNode):
             self.error(node, "bad-type", f"{where} must be a mapping")
             return None
-        return [(key.value, key, value) for key, value in node.value]
+        return [(key.value if isinstance(key, yaml.ScalarNode) else "<non-scalar>", key, value)
+                for key, value in node.value]
 
     def sequence(self, node, where: str) -> Optional[list]:
         if not isinstance(node, yaml.SequenceNode):
@@ -135,7 +136,7 @@ class _DocParser:
             return None
         values: dict = {"location": self.location(node)} if spec.located else {}
         for key, key_node, value_node in items:
-            entry = spec.keys.get(key) if isinstance(key, str) else None
+            entry = spec.keys.get(key)
             if entry is None:
                 self.unknown_key(key_node, key, spec.where)
                 continue
@@ -144,7 +145,7 @@ class _DocParser:
                 value = values[entry.field] + value
             values[entry.field] = value
         if None in map(values.get, spec.required):
-            if spec.strict or not all(key in values for key in spec.required):
+            if not all(key in values for key in spec.required):
                 self.error(node, "missing-key", spec.missing_message)
             return None
         return spec.build(**{k: v for k, v in values.items() if v is not None})
@@ -166,16 +167,15 @@ class _Key(NamedTuple):
 class _Spec:
     """One record kind: its keys, how it is built, and its required keys.
 
-    A strict spec reports `missing-key` when a required key is absent or
-    present but unreadable; a lenient one only when it is absent (the
-    unreadable value was already reported).
+    A record whose required key is absent gets `missing-key`; one whose
+    required key is present but unreadable is dropped on the strength of
+    that value's own diagnostic.
     """
 
     where: str
     build: Callable[..., object]
     keys: dict[str, _Key]
     required: tuple[str, ...] = ()
-    strict: bool = True
     located: bool = False  # pass the mapping's SourceLocation as `location`
 
     @property
@@ -197,8 +197,7 @@ def _list(read: _Reader, entry_label: Optional[str] = None) -> _Reader:
     return lambda parser, node, label: parser.records(node, label, read, entry_label)
 
 
-def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...],
-                    strict: bool = True) -> _Spec:
+def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...]) -> _Spec:
     """A spec whose keys are `cls`'s fields: enum-typed ones read as enums,
     the rest as scalars; `label` is formatted with the key."""
     hints = get_type_hints(cls)
@@ -208,7 +207,7 @@ def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...],
         read = (_enum(kind) if isinstance(kind, type) and issubclass(kind, enum.Enum)
                 else _DocParser.string)
         keys[f.name] = _Key(f.name, read, label.format(f.name))
-    return _Spec(where, cls, keys, required, strict)
+    return _Spec(where, cls, keys, required)
 
 
 _STRINGS = _list(_DocParser.string)
@@ -228,7 +227,7 @@ _ELEMENT = _Spec("element entry", GsnElement, {
     "traces": _Key("traces", _STRINGS, "traces"),
     "artifacts": _Key("artifacts", _STRINGS, "artifacts"),
     "acp": _Key("acps", _list(_ACP), "acp"),
-}, required=("id", "kind"), strict=False, located=True)
+}, required=("id", "kind"), located=True)
 
 _MODULE = _Spec("module entry", GsnModule, {
     "id": _Key("id", _DocParser.string, "module id"),
@@ -243,8 +242,7 @@ _REGISTRIES = _Spec("registries", dict, {
                                append=True),
 })
 
-_ARTIFACT = _dataclass_spec(Artifact, "artifact entry", "artifact {}", ("id", "role"),
-                            strict=False)
+_ARTIFACT = _dataclass_spec(Artifact, "artifact entry", "artifact {}", ("id", "role"))
 
 _HEADER = _Spec("model header", dict, {
     "id": _Key("id", _DocParser.string, "model id"),

@@ -5,7 +5,12 @@ good and bad fixture and `random_model` seeds 0-99, in process through
 click's CliRunner, and prints one sha256 per command family over each
 run's (argv, exit code, stdout, stderr).  Inputs are copied into a
 temporary directory and named by relative paths, so the digest does not
-depend on where the checkout lives.  It tests whichever `gsnlint` is
+depend on where the checkout lives.  A `views` line hashes the library's
+graph views (argument types and subsets, solution backing, root goals,
+`reachable_from` of each argument subset and `descendants` of each
+element) on every good fixture and the same random models; all of them are
+acyclic, so each view has one right answer, and ids are sorted so the
+digest does not depend on traversal order.  It tests whichever `gsnlint` is
 importable; to compare two checkouts, run it once against each:
 
     PYTHONPATH=<checkout>/src python tests/output_digest.py
@@ -30,7 +35,7 @@ from click.testing import CliRunner
 from conftest import FIXTURES, bad_fixture_paths, good_fixture_groups
 from genmodels import random_model
 from gsnlint import cli
-from gsnlint.parser import serialize_model
+from gsnlint.parser import load_model, serialize_model
 
 SEEDS = range(100)
 PROFILES = ("core", "instantiation", "gsn-wf", "all")
@@ -86,6 +91,27 @@ def digests(inputs: list[list[str]]) -> dict[str, tuple[str, int]]:
     return out
 
 
+def views_digest() -> tuple[str, int]:
+    """(sha256 over the graph views of every well-formed model, model count)."""
+    models = [load_model([str(p) for p in paths])[0] for _, paths in good_fixture_groups()]
+    models += [random_model(seed) for seed in SEEDS]
+    sha = hashlib.sha256()
+    for model in models:
+        subsets = model.argument_subsets
+        record = {
+            "effective_types": {eid: sorted(t.value for t in types)
+                                for eid, types in model.effective_types.items()},
+            "argument_subsets": {t.value: sorted(ids) for t, ids in subsets.items()},
+            "has_solution_descendant": model.has_solution_descendant,
+            "root_goals": model.root_goals,
+            "reachable_from": {t.value: sorted(model.reachable_from(ids))
+                               for t, ids in subsets.items()},
+            "descendants": {eid: sorted(model.descendants(eid)) for eid in model.index},
+        }
+        sha.update(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+    return sha.hexdigest(), len(models)
+
+
 def main() -> None:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -96,6 +122,8 @@ def main() -> None:
             os.chdir(cwd)
     for family, (digest, runs) in results.items():
         print(f"{family:7} {digest}  ({runs} runs)")
+    digest, count = views_digest()
+    print(f"{'views':7} {digest}  ({count} models)")
 
 
 if __name__ == "__main__":

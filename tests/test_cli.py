@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import gsnlint
 from gsnlint import cli
 from gsnlint.cli import main
+from gsnlint.parser import load_model
 
 from conftest import FIXTURES
 from dotcheck import parse_dot
@@ -70,6 +71,16 @@ class TestCheck:
             fixture("01-minimal.sac.yaml")])
         assert result.exit_code == 2
 
+    def test_unknown_rule_in_a_severity_override_is_usage_error(self, runner):
+        result = runner.invoke(main, [
+            "check", "--severity", "R99=error", fixture("01-minimal.sac.yaml")])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "Usage: main check [OPTIONS] PATHS...\n"
+            "Try 'main check --help' for help.\n\n"
+            "Error: unknown rule id 'R99' in severity overrides\n")
+
     def test_parse_failure_exits_two(self, runner):
         result = runner.invoke(main, ["check",
                                       str(FIXTURES / "bad" / "syntax.sac.yaml")])
@@ -120,6 +131,16 @@ class TestScaffold:
         check = runner.invoke(main, ["check", str(out)])
         assert check.exit_code == 0, check.output
         assert "0 errors, 0 warnings" in check.output
+
+    def test_top_claim_sets_the_root_goal_text(self, runner, tmp_path):
+        out = tmp_path / "model.sac.yaml"
+        result = runner.invoke(main, ["scaffold", "--top-claim", "The shuttle is safe",
+                                      str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == f"wrote {out} (76 elements)\n"
+        model, diags = load_model([str(out)])
+        assert diags == []
+        assert (model.root.id, model.root.text) == ("G-TOP", "The shuttle is safe")
 
     def test_refuses_overwrite_without_force(self, runner, tmp_path):
         out = tmp_path / "model.sac.yaml"

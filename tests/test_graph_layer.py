@@ -1,10 +1,12 @@
 """The graph-traversal layer against reference implementations and networkx.
 
-`model._find_cycles` (WF1 and the parser's `cycle` diagnostics) and
-`GsnModel.reachable_from` (R1, R5, ST1 and `descendants`) are iterative.
-The references below are the recursive cycle finder and the per-start
-reachability they replaced; networkx is an independent oracle used here
-only, never at run time.
+`model._walk` is the layer's one traversal, an iterative depth-first
+search: its cycles feed WF1 and the parser's `cycle` diagnostics, its
+post-order gives `GsnModel.topo_order`, and `GsnModel.reachable_from` (R1,
+R5, ST1 and `descendants`) is its closure plus contexts.  The references
+below are the recursive cycle finder and the per-start reachability it
+replaced; networkx is an independent oracle used here only, never at run
+time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from gsnlint.model import (
     GsnModel,
     GsnModule,
     RoleTag,
-    _find_cycles,
+    _walk,
     find_structural_problems,
 )
 from gsnlint.parser import load_model, parse_model
@@ -43,7 +45,12 @@ from genmodels import random_model
 # -- references ------------------------------------------------------
 
 
-def reference_find_cycles(index: dict[str, GsnElement]) -> list[tuple[str, ...]]:
+def find_cycles(index: dict[str, GsnElement]) -> list[tuple[str, ...]]:
+    """The walk's cycles from every element, as the structural guards run it."""
+    return _walk(index, index)[1]
+
+
+def referencefind_cycles(index: dict[str, GsnElement]) -> list[tuple[str, ...]]:
     """The recursive cycle finder; fails past Python's recursion limit."""
     color: dict[str, int] = {}  # 0 unvisited, 1 on stack, 2 done
     cycles: list[tuple[str, ...]] = []
@@ -114,6 +121,31 @@ def random_graph(rng: random.Random) -> dict[str, GsnElement]:
         for eid in ids}
 
 
+def random_relations(rng: random.Random) -> dict[str, GsnElement]:
+    """`random_graph` plus random in_context_of lists over the same targets,
+    so elements can sit in both relations of one parent."""
+    index = random_graph(rng)
+    targets = [*index, "X1"]
+    for element in index.values():
+        element.in_context_of = tuple(rng.choice(targets) for _ in range(rng.randint(0, 2)))
+    return index
+
+
+def as_model(index: dict[str, GsnElement]) -> GsnModel:
+    return GsnModel("graph", modules=[GsnModule("m", list(index.values()))])
+
+
+def random_dag(rng: random.Random) -> dict[str, GsnElement]:
+    """Up to 15 elements whose supported_by lists only name later ids of a
+    shuffled order, so the relation is acyclic."""
+    ids = [f"E{i}" for i in range(rng.randint(1, 15))]
+    rng.shuffle(ids)
+    return {eid: GsnElement(
+        eid, ElementKind.GOAL,
+        supported_by=tuple(rng.sample(ids[i + 1:], min(len(ids) - i - 1, rng.randint(0, 3)))))
+        for i, eid in enumerate(ids)}
+
+
 def wellformed_models() -> list[tuple[str, GsnModel]]:
     models = [(f"random-{seed}", random_model(seed)) for seed in range(100)]
     for name, paths in good_fixture_groups():
@@ -140,14 +172,14 @@ class TestCycles:
         rng = random.Random(3)
         for _ in range(3000):
             index = random_graph(rng)
-            assert _find_cycles(index) == reference_find_cycles(index), index
+            assert find_cycles(index) == referencefind_cycles(index), index
 
     def test_networkx_oracle(self):
         rng = random.Random(11)
         for _ in range(1000):
             index = random_graph(rng)
             graph = support_digraph(index)
-            cycles = _find_cycles(index)
+            cycles = find_cycles(index)
             assert bool(cycles) == (not nx.is_directed_acyclic_graph(graph)), index
             for cycle in cycles:
                 assert len(set(cycle)) == len(cycle)
@@ -155,8 +187,8 @@ class TestCycles:
                     assert graph.has_edge(src, dst), (cycle, index)
 
     def test_chain_past_the_recursion_limit(self):
-        assert _find_cycles(chain(5000)) == []
-        cycles = _find_cycles(chain(5000, close=True))
+        assert find_cycles(chain(5000)) == []
+        cycles = find_cycles(chain(5000, close=True))
         assert cycles == [tuple(f"G{i}" for i in range(5000))]
 
 
@@ -219,6 +251,55 @@ class TestReachability:
                 expected = closure | {c for eid in closure
                                       for c in model.index[eid].in_context_of}
                 assert model.reachable_from(subset) == expected, (name, argument_type)
+
+    def test_networkx_oracle_on_ill_formed_graphs(self):
+        """Cycles, self-loops, dangling ids and elements in both relations:
+        the supported_by closure of the starts, plus the in_context_of
+        targets of every element in it."""
+        rng = random.Random(23)
+        for _ in range(3000):
+            index = random_relations(rng)
+            model = as_model(index)
+            graph = support_digraph(index)
+            starts = rng.choices([*index, "X2"], k=rng.randint(0, 3))
+            closure = {eid for eid in starts if eid in index}
+            for eid in list(closure):
+                closure |= nx.descendants(graph, eid)
+            expected = closure | {c for eid in closure
+                                  for c in index[eid].in_context_of if c in index}
+            assert model.reachable_from(starts) == expected, (starts, index)
+
+    def test_element_first_reached_as_a_context_is_expanded(self):
+        index = {
+            "E0": GsnElement("E0", ElementKind.GOAL, supported_by=("E5",),
+                             in_context_of=("E5",)),
+            "E5": GsnElement("E5", ElementKind.GOAL, supported_by=("E4",)),
+            "E4": GsnElement("E4", ElementKind.GOAL, supported_by=("E3",)),
+            "E3": GsnElement("E3", ElementKind.GOAL),
+        }
+        assert as_model(index).reachable_from(["E0"]) == {"E0", "E3", "E4", "E5"}
+
+
+# -- topological order -----------------------------------------------
+
+
+class TestTopoOrder:
+    def test_parents_before_children_on_acyclic_graphs(self):
+        rng = random.Random(29)
+        for _ in range(1000):
+            index = random_dag(rng)
+            order = as_model(index).topo_order
+            assert sorted(order) == sorted(index), index
+            position = {eid: i for i, eid in enumerate(order)}
+            for element in index.values():
+                for child in element.supported_by:
+                    assert position[element.id] < position[child], (order, index)
+
+    def test_every_element_once_on_any_graph(self):
+        rng = random.Random(31)
+        for _ in range(1000):
+            index = random_graph(rng)
+            assert sorted(as_model(index).topo_order) == sorted(index), index
 
 
 # -- contracts: parse_model and evaluate never raise ----------------------

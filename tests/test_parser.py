@@ -113,6 +113,20 @@ class TestParseErrors:
         joined = " ".join(d.message for d in diags)
         assert "goalx" in joined
 
+    def test_no_documents(self):
+        model, diags = parse_model([])
+        assert model is None
+        assert [str(d) for d in diags] == [
+            "<input>:1:1: error: no input documents given [usage]"]
+
+    def test_empty_document(self):
+        model, diags = parse_text("")
+        assert model is None
+        assert [str(d) for d in diags] == [
+            "inline.sac.yaml:1:1: error: document is empty [syntax]",
+            "inline.sac.yaml:1:1: error: no model header found in any document "
+            "[model-header]"]
+
     def test_two_model_headers_rejected(self):
         text = MINIMAL + "\n---\n" + MINIMAL
         model, diags = parse_model([("a.sac.yaml", text)])
@@ -120,9 +134,8 @@ class TestParseErrors:
         assert any(d.code == "model-header" for d in diags)
 
 
-    # One case per record kind.  Elements and artifacts report missing-key
-    # only for an absent required key; ACPs, modules, registry items and
-    # the header also for a present but unreadable one.
+    # One case per record kind.  Every kind reports missing-key only for an
+    # absent required key; a present but unreadable one has its own bad-type.
     @pytest.mark.parametrize("text,expected", [
         ("model: {id: d}\nmodules:\n  - id: m\n    elements:\n"
          "      - {id: [G1], text: t}\n      - {id: G2, kind: [goal]}\n",
@@ -132,15 +145,11 @@ class TestParseErrors:
         ("model: {id: d}\nmodules:\n  - id: m\n    elements:\n      - id: G1\n"
          "        kind: goal\n        acp:\n"
          "          - {target: [x], relation: supported_by, confidence_goal: G1}\n",
-         ["inline.sac.yaml:8:22: error: acp target must be a scalar [bad-type]",
-          "inline.sac.yaml:8:13: error: acp entry requires 'target', 'relation', and "
-          "'confidence_goal' [missing-key]"]),
+         ["inline.sac.yaml:8:22: error: acp target must be a scalar [bad-type]"]),
         ("model: {id: d}\nmodules:\n  - {id: [m], elements: []}\n",
-         ["inline.sac.yaml:3:10: error: module id must be a scalar [bad-type]",
-          "inline.sac.yaml:3:5: error: module entry requires 'id' [missing-key]"]),
+         ["inline.sac.yaml:3:10: error: module id must be a scalar [bad-type]"]),
         ("model: {id: d}\nregistries:\n  hazards:\n    - {id: [H1], status: open}\n",
-         ["inline.sac.yaml:4:12: error: id must be a scalar [bad-type]",
-          "inline.sac.yaml:4:7: error: registry item requires 'id' [missing-key]"]),
+         ["inline.sac.yaml:4:12: error: id must be a scalar [bad-type]"]),
         ("model: {id: d}\nartifacts:\n  - {id: A1, role: [evidence]}\n"
          "  - {title: [t], role: evidence}\n",
          ["inline.sac.yaml:3:20: error: artifact role must be a scalar [bad-type]",
@@ -148,7 +157,6 @@ class TestParseErrors:
           "inline.sac.yaml:4:5: error: artifact entry requires 'id' and 'role' [missing-key]"]),
         ("model: {id: [d], version: '1'}\n",
          ["inline.sac.yaml:1:13: error: model id must be a scalar [bad-type]",
-          "inline.sac.yaml:1:8: error: model header requires 'id' [missing-key]",
           "inline.sac.yaml:1:1: error: no model header found in any document [model-header]"]),
     ], ids=["element", "acp", "module", "registry-item", "artifact", "model-header"])
     def test_missing_key_and_bad_type_diagnostics(self, text, expected):
@@ -213,6 +221,19 @@ class TestParseErrors:
         assert model is not None
         assert [d.code for d in diags] == ["unknown-key"]
         assert model.registries.item_ids("hazards") == ["H1"]
+
+    # A non-scalar key is named as such, never by its YAML node's repr.
+    @pytest.mark.parametrize("text,expected", [
+        ("model: {id: d}\n? [a, b]\n: 1\n",
+         "inline.sac.yaml:2:3: error: unknown key '<non-scalar>' in document [unknown-key]"),
+        ("model: {id: d, ? {a: b} : 1}\n",
+         "inline.sac.yaml:1:18: error: unknown key '<non-scalar>' in model header "
+         "[unknown-key]"),
+    ], ids=["sequence-key", "mapping-key"])
+    def test_non_scalar_key_diagnostic(self, text, expected):
+        model, diags = parse_text(text)
+        assert model is None
+        assert [str(d) for d in diags] == [expected]
 
 
 class TestRoundTrip:

@@ -194,8 +194,9 @@ class ReferenceDocParser:
                 else:
                     self.unknown_key(key_node, key, "acp entry")
             if None in fields.values() or set(fields) != _ACP_KEYS:
-                self.error(entry, "missing-key",
-                           "acp entry requires 'target', 'relation', and 'confidence_goal'")
+                if set(fields) != _ACP_KEYS:
+                    self.error(entry, "missing-key",
+                               "acp entry requires 'target', 'relation', and 'confidence_goal'")
                 continue
             out.append(AssuranceClaimPoint(**fields))
         return out
@@ -217,7 +218,8 @@ class ReferenceDocParser:
             else:
                 self.unknown_key(key_node, key, "module entry")
         if module_id is None:
-            self.error(node, "missing-key", "module entry requires 'id'")
+            if not any(key == "id" for key, _, _ in items):
+                self.error(node, "missing-key", "module entry requires 'id'")
             return None
         return GsnModule(module_id, elements)
 
@@ -235,7 +237,8 @@ class ReferenceDocParser:
                            issubclass(kind, (HazardStatus, RacLevel))
                            else self.string(value, key))
         if fields.get("id") is None:
-            self.error(node, "missing-key", "registry item requires 'id'")
+            if "id" not in fields:
+                self.error(node, "missing-key", "registry item requires 'id'")
             return None
         fields = {k: v for k, v in fields.items() if v is not None}
         return item_cls(**fields)
@@ -357,7 +360,7 @@ def reference_parse_model(
                         header["fragmentary"] = bool(parser.boolean(hvalue, "fragmentary"))
                     else:
                         parser.unknown_key(hkey_node, hkey, "model header")
-                if header["id"] is None:
+                if not any(hkey == "id" for hkey, _, _ in model_items):
                     parser.error(value, "missing-key", "model header requires 'id'")
             elif key == "modules":
                 for entry in parser.sequence(value, "modules") or []:

@@ -5,7 +5,14 @@ import json
 import pytest
 
 from gsnlint.findings import Finding, Severity
-from gsnlint.model import ElementKind
+from gsnlint.model import (
+    AcpRelation,
+    AssuranceClaimPoint,
+    ElementKind,
+    GsnElement,
+    GsnModule,
+    link_model,
+)
 from gsnlint.parser import load_model
 from gsnlint.report import (
     ReportBundle,
@@ -107,6 +114,33 @@ class TestRenderDot:
             elif element.kind is ElementKind.CONTEXT:
                 assert attrs.get("shape") == "box"
                 assert attrs.get("style") == "rounded"
+
+    def test_acp_on_a_context_edge_splices_a_dashed_edge(self):
+        model = link_model("dot", modules=[GsnModule("m", [
+            GsnElement("G1", ElementKind.GOAL, "claim", supported_by=("SN1",),
+                       in_context_of=("C1",),
+                       acps=(AssuranceClaimPoint("C1", AcpRelation.IN_CONTEXT_OF, "G2"),)),
+            GsnElement("C1", ElementKind.CONTEXT, "ctx"),
+            GsnElement("SN1", ElementKind.SOLUTION, "ev"),
+            GsnElement("G2", ElementKind.GOAL, "conf", supported_by=("SN2",)),
+            GsnElement("SN2", ElementKind.SOLUTION, "ev"),
+        ])])
+        assert render_dot(model) == (
+            'digraph "dot" {\n'
+            '  rankdir=TB;\n'
+            '  node [fontname="Helvetica"];\n'
+            '  "C1" [shape=box, label="C1", style="rounded"];\n'
+            '  "G1" [shape=box, label="G1"];\n'
+            '  "G2" [shape=box, label="G2"];\n'
+            '  "SN1" [shape=circle, label="SN1"];\n'
+            '  "SN2" [shape=circle, label="SN2"];\n'
+            '  "ACP:G1:0" [shape=square, style="filled", fillcolor="black", width=0.12, '
+            'label=""];\n'
+            '  "G1" -> "SN1";\n'
+            '  "G1" -> "ACP:G1:0" [style=dashed];\n'
+            '  "ACP:G1:0" -> "C1" [style=dashed];\n'
+            '  "G2" -> "SN2";\n'
+            '}\n')
 
     def test_color_mode_adds_fills(self, reference_model):
         plain = render_dot(reference_model)

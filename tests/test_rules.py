@@ -4,7 +4,16 @@ import pytest
 
 from gsnlint.cli import main
 from gsnlint.findings import Severity
-from gsnlint.model import ElementKind, GsnElement, GsnModule, link_model
+from gsnlint.model import (
+    AcpRelation,
+    ArgumentType,
+    AssuranceClaimPoint,
+    ElementKind,
+    GsnElement,
+    GsnModule,
+    RoleTag,
+    link_model,
+)
 from gsnlint.parser import load_model
 from gsnlint.rules import (
     _RULE_FUNCTIONS,
@@ -12,6 +21,7 @@ from gsnlint.rules import (
     PROFILE_RULES,
     WF_RULES,
     PreconditionError,
+    RuleProfile,
     UnknownRuleError,
     check_requirements,
     evaluate,
@@ -76,6 +86,62 @@ class TestEmptyModel:
         ])])
         findings = check_requirements(model, make_profile("core"))
         assert _errors(findings) == ["R1", "R10", "R5", "R9"]
+
+
+def _only(rule: str) -> RuleProfile:
+    return RuleProfile(rule, frozenset({rule}))
+
+
+class TestRuleBranches:
+    """Findings no fixture or mutation reaches, pinned exactly."""
+
+    def _acp_model(self):
+        # An ACP whose confidence goal is a soundness goal: no confidence
+        # argument exists, and no soundness element argues ACP placement.
+        return link_model("acp", modules=[GsnModule("m", [
+            GsnElement("G1", ElementKind.GOAL, "Top claim", argument_type=ArgumentType.RISK,
+                       supported_by=("SN1", "G2"),
+                       acps=(AssuranceClaimPoint("SN1", AcpRelation.SUPPORTED_BY, "G2"),)),
+            GsnElement("SN1", ElementKind.SOLUTION, "ev"),
+            GsnElement("G2", ElementKind.GOAL, "sound", argument_type=ArgumentType.SOUNDNESS,
+                       roles={RoleTag.UNCERTAINTY_METHOD}, supported_by=("SN2",)),
+            GsnElement("SN2", ElementKind.SOLUTION, "ev"),
+        ])])
+
+    def test_r1_risk_argument_unreachable_from_the_root(self):
+        model = link_model("r1", modules=[GsnModule("m", [
+            GsnElement("G1", ElementKind.GOAL, "Top claim", supported_by=("SN1",)),
+            GsnElement("SN1", ElementKind.SOLUTION, "ev"),
+            GsnElement("S1", ElementKind.STRATEGY, "risk", argument_type=ArgumentType.RISK,
+                       supported_by=("G2",)),
+            GsnElement("G2", ElementKind.GOAL, "sub", supported_by=("SN2",)),
+            GsnElement("SN2", ElementKind.SOLUTION, "ev"),
+        ])])
+        assert model.root.id == "G1"
+        assert [(f.severity, f.message, f.elements)
+                for f in check_requirements(model, _only("R1"))] == [
+            (Severity.ERROR, "risk argument is not reachable from the root goal 'G1'",
+             ("S1",))]
+
+    def test_r2_acps_with_an_empty_confidence_argument(self):
+        findings = check_requirements(self._acp_model(), _only("R2"))
+        assert [(f.severity, f.message, f.elements) for f in findings] == [
+            (Severity.ERROR,
+             "assurance claim points are present but the confidence argument is empty", ()),
+            (Severity.ERROR, "confidence goal 'G2' of the assurance claim point on 'G1' "
+             "is not part of the confidence argument", ("G1", "G2"))]
+
+    def test_r10_acps_without_a_placement_rationale(self):
+        findings = check_requirements(self._acp_model(), _only("R10"))
+        assert [(f.severity, f.message, f.elements) for f in findings] == [
+            (Severity.ERROR, "assurance claim points are used but the soundness argument "
+             "gives no rationale for their placement", ())]
+
+    def test_check_requirements_rejects_an_unknown_rule_id(self):
+        profile = RuleProfile("custom", frozenset({"R1", "R99"}))
+        with pytest.raises(UnknownRuleError) as raised:
+            check_requirements(self._acp_model(), profile)
+        assert str(raised.value) == "unknown rule id 'R99'"
 
 
 class TestScaffold:
