@@ -92,7 +92,7 @@ def digests(inputs: list[list[str]]) -> dict[str, tuple[str, int]]:
 
 
 def views_digest() -> tuple[str, int]:
-    """(sha256 over the graph views of every well-formed model, model count)."""
+    """(sha256 over the graph views of every parseable model, model count)."""
     models = [load_model([str(p) for p in paths])[0] for _, paths in good_fixture_groups()]
     models += [random_model(seed) for seed in SEEDS]
     sha = hashlib.sha256()

@@ -50,7 +50,7 @@ def find_cycles(index: dict[str, GsnElement]) -> list[tuple[str, ...]]:
     return _walk(index, index)[1]
 
 
-def referencefind_cycles(index: dict[str, GsnElement]) -> list[tuple[str, ...]]:
+def reference_find_cycles(index: dict[str, GsnElement]) -> list[tuple[str, ...]]:
     """The recursive cycle finder; fails past Python's recursion limit."""
     color: dict[str, int] = {}  # 0 unvisited, 1 on stack, 2 done
     cycles: list[tuple[str, ...]] = []
@@ -172,7 +172,7 @@ class TestCycles:
         rng = random.Random(3)
         for _ in range(3000):
             index = random_graph(rng)
-            assert find_cycles(index) == referencefind_cycles(index), index
+            assert find_cycles(index) == reference_find_cycles(index), index
 
     def test_networkx_oracle(self):
         rng = random.Random(11)
