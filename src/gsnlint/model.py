@@ -43,6 +43,11 @@ class ArgumentType(str, enum.Enum):
     SOUNDNESS = "soundness"
 
 
+#: The membership of an explicitly tagged element, and of an untyped one.
+_TAGGED = {t: frozenset({t}) for t in ArgumentType}
+_UNTYPED: frozenset[ArgumentType] = frozenset()
+
+
 class RoleTag(str, enum.Enum):
     SAFETY_CULTURE = "safety_culture"
     LIFECYCLE_OPERATION = "lifecycle_operation"
@@ -376,23 +381,26 @@ class GsnModel:
         union of their supported_by parents' memberships, so a join node
         below two differently typed branches belongs to both arguments.
         Contextual elements inherit from the elements referencing them.
+
+        Elements share their sets: an element with one parent (or one
+        referencer) takes that element's set, and every other set comes
+        from one intern table, so at most 2^|ArgumentType| sets exist.
         """
         eff: dict[str, frozenset[ArgumentType]] = {}
+        interned = {types: types for types in (_UNTYPED, *_TAGGED.values())}
+
+        def inherit(ids: list[str]) -> frozenset[ArgumentType]:
+            if len(ids) == 1:
+                return eff.get(ids[0], _UNTYPED)
+            types = _UNTYPED.union(*[eff.get(i, _UNTYPED) for i in ids])
+            return interned.setdefault(types, types)
+
         for eid in self.topo_order:
-            element = self.index[eid]
-            if element.argument_type is not None:
-                eff[eid] = frozenset({element.argument_type})
-            else:
-                inherited: set[ArgumentType] = set()
-                for parent in self.support_parents[eid]:
-                    inherited |= eff.get(parent, frozenset())
-                eff[eid] = frozenset(inherited)
+            tag = self.index[eid].argument_type
+            eff[eid] = _TAGGED[tag] if tag is not None else inherit(self.support_parents[eid])
         for eid, element in self.index.items():
             if element.kind in CONTEXTUAL_KINDS and element.argument_type is None:
-                inherited = set()
-                for referencer in self.context_referencers[eid]:
-                    inherited |= eff.get(referencer, frozenset())
-                eff[eid] = frozenset(inherited)
+                eff[eid] = inherit(self.context_referencers[eid])
         return eff
 
     @cached_property

@@ -14,7 +14,10 @@ a spec; `_DocParser.records` reads a sequence of entries.  A reader is any
 callable ``(parser, node, label) -> value`` that reports its own
 diagnostics and returns ``None`` for a value it cannot read; scalars,
 booleans, enumerations, lists of them, and specs themselves are readers.
-Fields that read as ``None`` are left to the dataclass default.
+Fields that read as ``None`` are left to the dataclass default.  A key
+repeated in one mapping is an Error `duplicate-key`, even when lenient,
+and its second value is not read, unless its `_Key` appends (module
+elements, registry lists, context dimensions).
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from .model import (
 )
 
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_CDumper = getattr(yaml, "CSafeDumper", None)
+_DUMP_OPTIONS = dict(sort_keys=False, default_flow_style=False, allow_unicode=True, width=100)
 
 # An explicit `!!bool` tag skips the resolver, so its value is checked here.
 _BOOL_VALUES = yaml.constructor.SafeConstructor.bool_values
@@ -140,10 +145,12 @@ class _DocParser:
             if entry is None:
                 self.unknown_key(key_node, key, spec.where)
                 continue
-            value = entry.read(self, value_node, entry.label)
-            if entry.append and entry.field in values:
-                value = values[entry.field] + value
-            values[entry.field] = value
+            if entry.field not in values:
+                values[entry.field] = entry.read(self, value_node, entry.label)
+            elif entry.append:
+                values[entry.field] += entry.read(self, value_node, entry.label)
+            else:
+                self.error(key_node, "duplicate-key", f"duplicate key '{key}' in {spec.where}")
         if None in map(values.get, spec.required):
             if not all(key in values for key in spec.required):
                 self.error(node, "missing-key", spec.missing_message)
@@ -160,7 +167,7 @@ class _Key(NamedTuple):
     field: str
     read: _Reader
     label: str
-    append: bool = False  # a repeated key extends the field instead of replacing it
+    append: bool = False  # a repeated key extends the field; otherwise it is `duplicate-key`
 
 
 @dataclass(frozen=True)
@@ -363,18 +370,44 @@ def load_model(
 
 def serialize_model(model: GsnModel, include_registries: bool = True) -> str:
     """Canonical text form: schema-ordered keys, elements sorted by id."""
-    # Pure-Python safe_dump: CSafeDumper escapes emoji and folds long quoted scalars differently.
     data = canonical_dict(model)
     if not include_registries:
         data.pop("registries", None)
         data.pop("artifacts", None)
-    return yaml.safe_dump(data, sort_keys=False, default_flow_style=False,
-                          allow_unicode=True, width=100)
+    return _dump(data)
 
 
 def serialize_registries(model: GsnModel) -> str:
     """Registries-plus-artifacts companion document for split output."""
     data = canonical_dict(model)
-    split = {"registries": data["registries"], "artifacts": data["artifacts"]}
-    return yaml.safe_dump(split, sort_keys=False, default_flow_style=False,
-                          allow_unicode=True, width=100)
+    return _dump({"registries": data["registries"], "artifacts": data["artifacts"]})
+
+
+def _dump(data: dict) -> str:
+    """Write a canonical dict as YAML, through libyaml's emitter when it gives
+    the pure-Python emitter's bytes.
+
+    That holds when every string (keys too) is printable ASCII, which the
+    pure-Python emitter never double-quotes.  On other strings libyaml
+    writes different bytes: it escapes astral-plane characters, writes
+    U+0085 as ``\\N``, and folds long double-quoted scalars (a tab, or a
+    space next to a line break, asks for that style) at other points.
+    """
+    dumper = _CDumper if _CDumper and _printable_ascii(data) else yaml.SafeDumper
+    return yaml.dump(data, Dumper=dumper, **_DUMP_OPTIONS)
+
+
+def _printable_ascii(data) -> bool:
+    """Whether every string in a tree of dicts, lists and scalars is 0x20-0x7E."""
+    stack = [data]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            if not (item.isascii() and item.isprintable()):
+                return False
+        elif isinstance(item, dict):
+            stack += item
+            stack += item.values()
+        elif isinstance(item, list):
+            stack += item
+    return True

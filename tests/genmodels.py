@@ -2,7 +2,9 @@
 
 random_model builds well-formed (zero WF Errors) models of up to 30
 elements with randomized argument typing, roles, registries, and trace
-links; big_model builds a wide goal/strategy tree for performance tests.
+links; big_model builds a wide goal/strategy tree for performance tests;
+string_model puts one string into every kind of free text a model
+writes, for the YAML writer's tests.
 """
 
 from __future__ import annotations
@@ -170,3 +172,32 @@ def big_model(n_elements: int = 10000, n_traces: int = 5000, seed: int = 7):
     rng.shuffle(elements)
     return link_model("big", modules=[GsnModule("m", elements)],
                       registries=registries, artifacts=artifacts)
+
+
+_CLAUSE = "the argument holds because every identified hazard is managed by a verified mitigation"
+
+#: Strings that are not printable ASCII, each in a form where libyaml's
+#: emitter writes other bytes than PyYAML's pure-Python one.
+FALLBACK_STRINGS = {
+    "astral": "goal \U0001F600 met",
+    "next-line": "before\x85after",
+    "line-separator": _CLAUSE + " \u2028" + _CLAUSE,
+    "tab": _CLAUSE + "\t" + _CLAUSE,
+    "newline": _CLAUSE + " \n" + _CLAUSE,
+}
+
+#: Printable-ASCII strings at the edges of YAML's plain style.
+EDGE_STRINGS = {
+    "padded": "  leading and trailing spaces  ",
+    "empty": "",
+}
+
+
+def string_model(text: str):
+    """A well-formed model whose element texts, hazard description and one
+    context dimension are all `text`."""
+    elements = [GsnElement("G1", ElementKind.GOAL, text, supported_by=("SN1",),
+                           traces=frozenset({"H1"})),
+                GsnElement("SN1", ElementKind.SOLUTION, text)]
+    registries = Registries(hazards=[Hazard("H1", text)], context_dimensions=["odd", text])
+    return link_model("strings", modules=[GsnModule("m", elements)], registries=registries)

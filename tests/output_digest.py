@@ -10,8 +10,15 @@ graph views (argument types and subsets, solution backing, root goals,
 `reachable_from` of each argument subset and `descendants` of each
 element) on every good fixture and the same random models; all of them are
 acyclic, so each view has one right answer, and ids are sorted so the
-digest does not depend on traversal order.  It tests whichever `gsnlint` is
-importable; to compare two checkouts, run it once against each:
+digest does not depend on traversal order.  A `serialize` line hashes the
+YAML writer's three outputs (`serialize_model` with and without
+registries, `serialize_registries`) on every good fixture, the same random
+models, `big_model(2000, 1000)`, scaffold models with and without samples
+over several context-dimension counts and top claims, and
+`genmodels.string_model` over every string in `FALLBACK_STRINGS` and
+`EDGE_STRINGS`, so both of the writer's emitter paths are covered.  It
+tests whichever `gsnlint` is importable; to compare two checkouts, run it
+once against each:
 
     PYTHONPATH=<checkout>/src python tests/output_digest.py
 
@@ -33,9 +40,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 from click.testing import CliRunner
 
 from conftest import FIXTURES, bad_fixture_paths, good_fixture_groups
-from genmodels import random_model
+from genmodels import EDGE_STRINGS, FALLBACK_STRINGS, big_model, random_model, string_model
 from gsnlint import cli
-from gsnlint.parser import load_model, serialize_model
+from gsnlint.model import DEFAULT_CONTEXT_DIMENSIONS
+from gsnlint.parser import load_model, serialize_model, serialize_registries
+from gsnlint.scaffold import ScaffoldOptions, scaffold_reference_model
 
 SEEDS = range(100)
 PROFILES = ("core", "instantiation", "gsn-wf", "all")
@@ -91,10 +100,15 @@ def digests(inputs: list[list[str]]) -> dict[str, tuple[str, int]]:
     return out
 
 
+def parseable_models() -> list:
+    """Every good fixture, then `random_model` over SEEDS."""
+    models = [load_model([str(p) for p in paths])[0] for _, paths in good_fixture_groups()]
+    return models + [random_model(seed) for seed in SEEDS]
+
+
 def views_digest() -> tuple[str, int]:
     """(sha256 over the graph views of every parseable model, model count)."""
-    models = [load_model([str(p) for p in paths])[0] for _, paths in good_fixture_groups()]
-    models += [random_model(seed) for seed in SEEDS]
+    models = parseable_models()
     sha = hashlib.sha256()
     for model in models:
         subsets = model.argument_subsets
@@ -112,6 +126,25 @@ def views_digest() -> tuple[str, int]:
     return sha.hexdigest(), len(models)
 
 
+def serialize_digest() -> tuple[str, int]:
+    """(sha256 over the YAML writer's outputs, model count)."""
+    models = parseable_models() + [big_model(2000, 1000)]
+    models += [scaffold_reference_model(ScaffoldOptions(
+                   top_claim_text=top_claim, include_samples=samples,
+                   context_dimensions=list(DEFAULT_CONTEXT_DIMENSIONS[:dims])))
+               for top_claim in ("Top claim", "Kein unvertretbares Risiko — über die ODD")
+               for samples in (True, False)
+               for dims in (0, 1, 3, len(DEFAULT_CONTEXT_DIMENSIONS))]
+    models += [string_model(text) for text in (*FALLBACK_STRINGS.values(),
+                                               *EDGE_STRINGS.values())]
+    sha = hashlib.sha256()
+    for model in models:
+        for text in (serialize_model(model), serialize_model(model, include_registries=False),
+                     serialize_registries(model)):
+            sha.update(text.encode("utf-8") + b"\n")
+    return sha.hexdigest(), len(models)
+
+
 def main() -> None:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -121,9 +154,11 @@ def main() -> None:
         finally:
             os.chdir(cwd)
     for family, (digest, runs) in results.items():
-        print(f"{family:7} {digest}  ({runs} runs)")
+        print(f"{family:9} {digest}  ({runs} runs)")
     digest, count = views_digest()
-    print(f"{'views':7} {digest}  ({count} models)")
+    print(f"{'views':9} {digest}  ({count} models)")
+    digest, count = serialize_digest()
+    print(f"{'serialize':9} {digest}  ({count} models)")
 
 
 if __name__ == "__main__":

@@ -5,13 +5,15 @@ import time
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gsnlint import parser
 from gsnlint.model import ArgumentType, ElementKind, canonical_dict, models_equal
 from gsnlint.parser import load_model, parse_model, serialize_model
 
 from conftest import FIXTURES, bad_fixture_paths, good_fixture_groups
-from genmodels import big_model
+from genmodels import EDGE_STRINGS, FALLBACK_STRINGS, big_model, string_model
 
 
 MINIMAL = """\
@@ -251,6 +253,85 @@ class TestRoundTrip:
             once = serialize_model(model)
             again, _ = parse_text(once)
             assert serialize_model(again) == once, name
+
+
+# -- the two emitters ----------------------------------------------
+
+_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+
+_ASCII = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+_INDICATORS = st.sampled_from([
+    "-", "?", ":", ",", "[", "]", "{", "}", "#", "&", "*", "!", "|", ">", "'", '"', "%",
+    "@", "`", "- a", "? b", "a: b", "a :b", "a #b", "#a", "&x", "*x", "!x", "{a}", "[a]",
+    "true", "False", "NULL", "~", "yes", "Off", "y", "0", "-1", "0x1F", "0o17", "012",
+    "1_000", "1.5e3", ".inf", "-.NaN", "2001-12-14", "12:30:00", "<<", "=", "---", "...",
+    "'quoted'", '"quoted"', " ", "  lead", "trail  ", "a  b", "\\", "\\n",
+])
+_WORDS = st.lists(st.one_of(_INDICATORS, st.sampled_from(["lorem", "ipsum", "dolor", "sit"]),
+                            st.text(_ASCII, min_size=1, max_size=8)),
+                  min_size=15, max_size=30).map(" ".join)
+_TEXT = st.one_of(_INDICATORS, _WORDS, st.text(_ASCII, max_size=30))
+
+
+def _records(keys: tuple[str, ...], **optional) -> st.SearchStrategy:
+    return st.fixed_dictionaries({key: _TEXT for key in keys}, optional=optional)
+
+
+_CANONICAL = st.fixed_dictionaries({
+    "model": _records(("id", "version"), fragmentary=st.just(True)),
+    "modules": st.lists(st.fixed_dictionaries({
+        "id": _TEXT,
+        "elements": st.lists(_records(
+            ("id", "kind", "text"), undeveloped=st.just(True),
+            supported_by=st.lists(_TEXT, min_size=1, max_size=3),
+            acp=st.lists(_records(("target", "relation", "confidence_goal")),
+                         min_size=1, max_size=2)), max_size=3),
+    }), max_size=2),
+    "registries": st.fixed_dictionaries({
+        "hazards": st.lists(_records(("id", "description", "status")), max_size=2),
+        "context_dimensions": st.lists(_TEXT, max_size=3),
+    }),
+    "artifacts": st.lists(_records(("id", "role"), title=_TEXT, uri=_TEXT), max_size=2),
+})
+
+
+@_libyaml
+@settings(max_examples=50, deadline=None)
+@given(data=_CANONICAL)
+@example(data=canonical_dict(string_model(EDGE_STRINGS["padded"])))
+@example(data=canonical_dict(string_model(EDGE_STRINGS["empty"])))
+def test_emitters_agree_on_printable_ascii(data):
+    """libyaml writes the pure-Python emitter's bytes for every printable-ASCII
+    canonical dict, which is what lets `serialize_model` use it there."""
+    assert yaml.dump(data, Dumper=yaml.CSafeDumper, **parser._DUMP_OPTIONS) == \
+        yaml.safe_dump(data, **parser._DUMP_OPTIONS)
+
+
+@_libyaml
+@pytest.mark.parametrize("name", sorted(FALLBACK_STRINGS))
+def test_other_strings_keep_the_pure_python_emitter(name):
+    """Each string here makes libyaml write other bytes, so `serialize_model`
+    must fall back.  Once libyaml agrees on all of them, the fallback can go."""
+    model = string_model(FALLBACK_STRINGS[name])
+    data = canonical_dict(model)
+    python = yaml.safe_dump(data, **parser._DUMP_OPTIONS)
+    assert serialize_model(model) == python
+    assert yaml.dump(data, Dumper=yaml.CSafeDumper, **parser._DUMP_OPTIONS) != python
+
+
+@_libyaml
+def test_emitter_follows_the_strings(monkeypatch):
+    seen = []
+    dump_all = yaml.dump_all
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["Dumper"])
+        return dump_all(*args, **kwargs)
+
+    monkeypatch.setattr(yaml, "dump_all", spy)
+    serialize_model(big_model(100, 50))
+    serialize_model(string_model(FALLBACK_STRINGS["astral"]))
+    assert seen == [yaml.CSafeDumper, yaml.SafeDumper]
 
 
 @pytest.mark.parametrize("spelling,value", [

@@ -6,6 +6,11 @@ replaced.  Both parsers read the same documents; their diagnostics (in
 order), canonical dicts and element locations must be equal.  The corpus
 is every fixture, strict and lenient, seeded mutations of the fixtures,
 and text-level cases for repeated keys and empty versions.
+
+A key repeated in one mapping is an Error `duplicate-key` at the repeated
+key, in strict and lenient mode alike, except where the repetition
+appends (module `elements`, the registry lists, `context_dimensions`);
+the first value stands.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 _ACP_KEYS = {"target", "relation", "confidence_goal"}
 _ARTIFACT_KEYS = {"id", "role", "title", "uri", "dimension"}
+_ELEMENT_KEYS = {"id", "kind", "text", "undeveloped", "argument_type", "roles",
+                 "supported_by", "in_context_of", "traces", "artifacts", "acp"}
+_HEADER_KEYS = {"id", "version", "fragmentary"}
 
 
 class ReferenceDocParser:
@@ -83,6 +91,14 @@ class ReferenceDocParser:
         else:
             self.error(key_node, "unknown-key", message)
 
+    def repeated(self, key_node, key: str, seen: set, where: str) -> bool:
+        """Report `key` when this mapping already had it."""
+        if key in seen:
+            self.error(key_node, "duplicate-key", f"duplicate key '{key}' in {where}")
+            return True
+        seen.add(key)
+        return False
+
     def location(self, node) -> SourceLocation:
         line, col = self._loc(node)
         return SourceLocation(self.path, line, col)
@@ -93,7 +109,8 @@ class ReferenceDocParser:
         if not isinstance(node, yaml.MappingNode):
             self.error(node, "bad-type", f"{where} must be a mapping")
             return None
-        return [(key.value, key, value) for key, value in node.value]
+        return [(key.value if isinstance(key, yaml.ScalarNode) else "<non-scalar>", key, value)
+                for key, value in node.value]
 
     def sequence(self, node, where: str) -> Optional[list]:
         if not isinstance(node, yaml.SequenceNode):
@@ -141,7 +158,10 @@ class ReferenceDocParser:
         if items is None:
             return None
         fields: dict = {"location": self.location(node)}
+        seen: set = set()
         for key, key_node, value in items:
+            if key in _ELEMENT_KEYS and self.repeated(key_node, key, seen, "element entry"):
+                continue
             if key == "id":
                 fields["id"] = self.string(value, "element id")
             elif key == "kind":
@@ -184,7 +204,10 @@ class ReferenceDocParser:
             if items is None:
                 continue
             fields: dict = {}
+            seen: set = set()
             for key, key_node, value in items:
+                if key in _ACP_KEYS and self.repeated(key_node, key, seen, "acp entry"):
+                    continue
                 if key == "target":
                     fields["target"] = self.string(value, "acp target")
                 elif key == "relation":
@@ -207,8 +230,11 @@ class ReferenceDocParser:
             return None
         module_id: Optional[str] = None
         elements: list[GsnElement] = []
+        seen: set = set()
         for key, key_node, value in items:
             if key == "id":
+                if self.repeated(key_node, key, seen, "module entry"):
+                    continue
                 module_id = self.string(value, "module id")
             elif key == "elements":
                 for entry in self.sequence(value, "elements") or []:
@@ -228,9 +254,12 @@ class ReferenceDocParser:
         if items is None:
             return None
         fields: dict = {}
+        seen: set = set()
         for key, key_node, value in items:
             if key not in spec:
                 self.unknown_key(key_node, key, "registry item")
+                continue
+            if self.repeated(key_node, key, seen, "registry item"):
                 continue
             kind = spec[key]
             fields[key] = (self.enum(value, kind, key) if isinstance(kind, type) and
@@ -285,7 +314,10 @@ class ReferenceDocParser:
         if items is None:
             return None
         fields: dict = {}
+        seen: set = set()
         for key, key_node, value in items:
+            if key in _ARTIFACT_KEYS and self.repeated(key_node, key, seen, "artifact entry"):
+                continue
             if key == "role":
                 fields["role"] = self.enum(value, ArtifactRole, "artifact role")
             elif key in _ARTIFACT_KEYS:
@@ -351,7 +383,11 @@ def reference_parse_model(
                                  "model header declared more than once")
                     continue
                 header = {"id": None, "version": "0", "fragmentary": False}
+                seen: set = set()
                 for hkey, hkey_node, hvalue in model_items:
+                    if hkey in _HEADER_KEYS and parser.repeated(hkey_node, hkey, seen,
+                                                                "model header"):
+                        continue
                     if hkey == "id":
                         header["id"] = parser.string(hvalue, "model id")
                     elif hkey == "version":
@@ -570,17 +606,69 @@ modules:
     assert [e.id for e in model.modules[0].elements] == ["G1", "SN1"]
 
 
-def test_repeated_scalar_key_in_an_element_keeps_the_last():
-    model = parse_same(HEADER + """\
-modules:
-  - id: m
-    elements:
+_MODULE = "modules:\n  - id: m\n    elements:\n"
+
+#: Record kind, as diagnostics name it -> a document whose second `<key>` (the one on the line
+#: marked `# repeated`) repeats a key that does not append.
+_REPEATED_KEYS = {
+    "model header": "model:\n  id: d\n  id: e  # repeated\n",
+    "element entry": HEADER + _MODULE + """\
       - id: G1
         kind: goal
         text: first
-        text: second
-""")
-    assert model.resolve("G1").text == "second"
+        text: second  # repeated
+""",
+    "acp entry": HEADER + _MODULE + """\
+      - id: G1
+        kind: goal
+        supported_by: [S1]
+      - id: S1
+        kind: strategy
+        supported_by: [G2]
+        acp:
+          - target: G2
+            relation: supported_by
+            confidence_goal: G3
+            target: G1  # repeated
+      - {id: G2, kind: goal, undeveloped: true}
+      - {id: G3, kind: goal, undeveloped: true}
+""",
+    "module entry": HEADER + """\
+modules:
+  - id: m
+    id: n  # repeated
+    elements: [{id: G1, kind: goal}]
+""",
+    "registry item": HEADER + """\
+registries:
+  hazards:
+    - id: H1
+      description: a
+      description: b  # repeated
+""",
+    "artifact entry": HEADER + """\
+artifacts:
+  - id: A1
+    role: evidence
+    role: context_doc  # repeated
+""",
+}
+
+
+@pytest.mark.parametrize("where", sorted(_REPEATED_KEYS))
+def test_repeated_key_is_a_duplicate_key_error(where):
+    text = _REPEATED_KEYS[where]
+    documents = [("case.sac.yaml", text)]
+    assert_same(documents, text)
+    line_no, line = next((n, line) for n, line in enumerate(text.splitlines(), 1)
+                         if line.endswith("# repeated"))
+    key = line.split(":")[0].strip()
+    for lenient in (False, True):
+        model, diags = parse_model(documents, lenient=lenient)
+        assert model is None
+        assert [(d.severity, d.code, d.message, d.line, d.column) for d in diags] == [
+            (Severity.ERROR, "duplicate-key", f"duplicate key '{key}' in {where}",
+             line_no, line.index(key) + 1)]
 
 
 def test_repeated_registry_lists_and_sections_append():
