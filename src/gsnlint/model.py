@@ -234,18 +234,19 @@ class ModelError(Exception):
         super().__init__("; ".join(p.message for p in problems))
 
 
-def find_structural_problems(modules: Iterable[GsnModule]) -> list[StructuralProblem]:
-    """Report duplicate ids, dangling references, relation cycles, and bad ACPs."""
+def find_structural_problems(model: GsnModel) -> list[StructuralProblem]:
+    """Report duplicate ids, dangling references, relation cycles, and bad ACPs,
+    from the model's cached views (models are immutable once read): `index`,
+    where the first copy of an id wins, and the cycles of its support walk."""
     problems: list[StructuralProblem] = []
-    index: dict[str, GsnElement] = {}
-    for module in modules:
-        for element in module.elements:
-            if element.id in index:
-                problems.append(StructuralProblem(
-                    "duplicate-id", f"duplicate element id '{element.id}'", (element.id,),
-                    element.location))
-            else:
-                index[element.id] = element
+    index = model.index
+    seen: set[str] = set()
+    for element in model.iter_elements():
+        if element.id in seen:
+            problems.append(StructuralProblem(
+                "duplicate-id", f"duplicate element id '{element.id}'", (element.id,),
+                element.location))
+        seen.add(element.id)
 
     for element in index.values():
         for ref in (*element.supported_by, *element.in_context_of):
@@ -277,7 +278,7 @@ def find_structural_problems(modules: Iterable[GsnModule]) -> list[StructuralPro
                     f"on '{element.id}' is a {goal.kind.value}, not a goal",
                     (element.id, acp.confidence_goal), element.location))
 
-    for cycle in _walk(index, index)[1]:
+    for cycle in model._support_walk[1]:
         problems.append(StructuralProblem(
             "cycle", "supported_by cycle: " + " -> ".join((*cycle, cycle[0])), cycle,
             index[cycle[0]].location))
@@ -357,10 +358,15 @@ class GsnModel:
         return self._referrers("in_context_of")
 
     @cached_property
+    def _support_walk(self) -> tuple[list[str], list[tuple[str, ...]]]:
+        """The walk from every element: its post-order and its cycles."""
+        return _walk(self.index, self.index)
+
+    @cached_property
     def topo_order(self) -> list[str]:
         """Every element, parents before children along supported_by where
         the relation is acyclic: the walk's post-order, reversed."""
-        return _walk(self.index, self.index)[0][::-1]
+        return self._support_walk[0][::-1]
 
     @cached_property
     def root_goals(self) -> tuple[str, ...]:
@@ -476,18 +482,18 @@ def link_model(
     fragmentary: bool = False,
 ) -> GsnModel:
     """Build a model, rejecting structurally broken module sets."""
-    modules = modules or []
-    problems = find_structural_problems(modules)
-    if problems:
-        raise ModelError(problems)
-    return GsnModel(
+    model = GsnModel(
         id=model_id,
         version=version,
-        modules=modules,
+        modules=modules or [],
         registries=registries or Registries(),
         artifacts=artifacts or [],
         fragmentary=fragmentary,
     )
+    problems = find_structural_problems(model)
+    if problems:
+        raise ModelError(problems)
+    return model
 
 
 def canonical_dict(model: GsnModel) -> dict:
@@ -496,26 +502,28 @@ def canonical_dict(model: GsnModel) -> dict:
     Elements are sorted by id; declared relation order is preserved.  Two
     models are structurally equal iff their canonical dicts are equal.
     """
-    out: dict = {
-        "model": {"id": model.id, "version": model.version},
-    }
+    return {**_modules_dict(model), **_registries_dict(model)}
+
+
+def _modules_dict(model: GsnModel) -> dict:
+    """The `model` header and `modules` part of `canonical_dict`."""
+    header: dict = {"id": model.id, "version": model.version}
     if model.fragmentary:
-        out["model"]["fragmentary"] = True
-    out["modules"] = [
-        {
-            "id": module.id,
-            "elements": [
-                _record_dict(e) for e in sorted(module.elements, key=lambda e: e.id)
-            ],
-        }
+        header["fragmentary"] = True
+    return {"model": header, "modules": [
+        {"id": module.id,
+         "elements": [_record_dict(e) for e in sorted(module.elements, key=lambda e: e.id)]}
         for module in model.modules
-    ]
+    ]}
+
+
+def _registries_dict(model: GsnModel) -> dict:
+    """The `registries` and `artifacts` part of `canonical_dict`."""
     reg = model.registries
-    out["registries"] = {name: [_record_dict(item) for item in getattr(reg, name)]
-                         for name in REGISTRY_ITEMS}
-    out["registries"]["context_dimensions"] = list(reg.context_dimensions)
-    out["artifacts"] = [_record_dict(a) for a in model.artifacts]
-    return out
+    registries = {name: [_record_dict(item) for item in getattr(reg, name)]
+                  for name in REGISTRY_ITEMS}
+    registries["context_dimensions"] = list(reg.context_dimensions)
+    return {"registries": registries, "artifacts": [_record_dict(a) for a in model.artifacts]}
 
 
 def _record_dict(record) -> dict:

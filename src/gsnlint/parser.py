@@ -42,6 +42,8 @@ from .model import (
     Registries,
     RoleTag,
     SourceLocation,
+    _modules_dict,
+    _registries_dict,
     canonical_dict,
     find_structural_problems,
 )
@@ -337,15 +339,15 @@ def _parse_documents(
             Severity.ERROR, "model-header", "no model header found in any document",
             documents[0][0]))
 
-    for problem in find_structural_problems(modules):
+    model = GsnModel(**(header or {"id": ""}), modules=modules,
+                     registries=Registries(**registries), artifacts=artifacts)
+    for problem in find_structural_problems(model):
         loc = problem.location or SourceLocation(documents[0][0], 1, 1)
         diags.append(ParseDiagnostic(
             Severity.ERROR, problem.code, problem.message, loc.file, loc.line, loc.column))
 
     if any(d.severity is Severity.ERROR for d in diags):
         return None, diags
-    model = GsnModel(**header, modules=modules, registries=Registries(**registries),
-                     artifacts=artifacts)
     return model, diags
 
 
@@ -370,17 +372,12 @@ def load_model(
 
 def serialize_model(model: GsnModel, include_registries: bool = True) -> str:
     """Canonical text form: schema-ordered keys, elements sorted by id."""
-    data = canonical_dict(model)
-    if not include_registries:
-        data.pop("registries", None)
-        data.pop("artifacts", None)
-    return _dump(data)
+    return _dump(canonical_dict(model) if include_registries else _modules_dict(model))
 
 
 def serialize_registries(model: GsnModel) -> str:
     """Registries-plus-artifacts companion document for split output."""
-    data = canonical_dict(model)
-    return _dump({"registries": data["registries"], "artifacts": data["artifacts"]})
+    return _dump(_registries_dict(model))
 
 
 def _dump(data: dict) -> str:

@@ -1,9 +1,9 @@
 """Structural legality checks for linked GSN models (profile "gsn-wf").
 
 These rules enforce the notation itself: which kinds may support which,
-leaf-ness of solutions, how contextual elements may be reached, and a few
-guards that duplicate the parser's structural validation so hand-built
-models get the same scrutiny as parsed ones.
+leaf-ness of solutions, how contextual elements may be reached, and the
+parser's structural guards as WF1-WF3, so hand-built models get the same
+scrutiny; the guards read the model's cached views (immutable once read).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def check_wellformed(model: GsnModel) -> list[Finding]:
     findings: list[Finding] = []
 
     # WF1-WF3: structural guards, normally caught at parse/link time.
-    for problem in find_structural_problems(model.modules):
+    for problem in find_structural_problems(model):
         findings.append(Finding(
             _GUARD_RULES[problem.code], Severity.ERROR, problem.message, problem.elements))
     if any(f.rule in ("WF2", "WF3") for f in findings):

@@ -4,7 +4,8 @@ random_model builds well-formed (zero WF Errors) models of up to 30
 elements with randomized argument typing, roles, registries, and trace
 links; big_model builds a wide goal/strategy tree for performance tests;
 string_model puts one string into every kind of free text a model
-writes, for the YAML writer's tests.
+writes, for the YAML writer's tests; ill_formed_model builds small models
+that skip the structural guards, for the guards' own tests.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ from __future__ import annotations
 import random
 
 from gsnlint.model import (
+    AcpRelation,
     ArgumentType,
     Artifact,
     ArtifactRole,
+    AssuranceClaimPoint,
     ElementKind,
     GsnElement,
+    GsnModel,
     GsnModule,
     Hazard,
     HazardStatus,
@@ -201,3 +205,34 @@ def string_model(text: str):
                 GsnElement("SN1", ElementKind.SOLUTION, text)]
     registries = Registries(hazards=[Hazard("H1", text)], context_dimensions=["odd", text])
     return link_model("strings", modules=[GsnModule("m", elements)], registries=registries)
+
+
+def ill_formed_model(seed: int) -> GsnModel:
+    """Up to 12 elements of random kinds over two modules, built without
+    `link_model`.  Three seeds in four are wild: relations may name any id,
+    the element itself or the undeclared `X1` (cycles, self-loops, dangling
+    references), some ids are declared twice with their own relations, one
+    element object may be listed twice, and ACPs name random targets and
+    confidence goals.  The rest link only to later ids and carry no ACP."""
+    rng = random.Random(seed)
+    ids = [f"E{i}" for i in range(rng.randint(1, 12))]
+    wild = rng.random() < 0.75
+    repeated = rng.sample(ids, rng.randint(0, min(2, len(ids)))) if wild else []
+    elements = []
+    for i, eid in enumerate(ids + repeated):
+        targets = ids + ["X1"] if wild else ids[i + 1:]
+        supported_by, in_context_of = (
+            tuple(rng.choices(targets, k=rng.randint(0, most))) if targets else ()
+            for most in (3, 1))
+        kind = rng.choice(list(ElementKind)) if rng.random() < 0.4 else ElementKind.GOAL
+        acps = ((AssuranceClaimPoint(rng.choice(targets), rng.choice(list(AcpRelation)),
+                                     rng.choice(targets)),)
+                if wild and rng.random() < 0.25 else ())
+        elements.append(GsnElement(eid, kind, f"claim {eid}", supported_by=supported_by,
+                                   in_context_of=in_context_of, acps=acps))
+    if wild and rng.random() < 0.2:
+        elements.append(rng.choice(elements))
+    rng.shuffle(elements)
+    split = rng.randint(0, len(elements))
+    return GsnModel(f"ill-formed-{seed}", modules=[GsnModule("a", elements[:split]),
+                                                   GsnModule("b", elements[split:])])

@@ -16,9 +16,15 @@ registries, `serialize_registries`) on every good fixture, the same random
 models, `big_model(2000, 1000)`, scaffold models with and without samples
 over several context-dimension counts and top claims, and
 `genmodels.string_model` over every string in `FALLBACK_STRINGS` and
-`EDGE_STRINGS`, so both of the writer's emitter paths are covered.  It
-tests whichever `gsnlint` is importable; to compare two checkouts, run it
-once against each:
+`EDGE_STRINGS`, so both of the writer's emitter paths are covered.  A
+`structure` line hashes the structural guards' verdicts on
+`genmodels.ill_formed_model` seeds 0-99 (cycles, self-loops, ids declared
+twice across modules, dangling references, bad ACPs, and some clean
+models): the `gsn-wf` profile's findings and `topo_order` of the hand-built
+model, then `check` on the model written as YAML, whose exit code and
+positioned stderr diagnostics come from the parser's guards.  It tests
+whichever `gsnlint` is importable; to compare two checkouts, run it once
+against each:
 
     PYTHONPATH=<checkout>/src python tests/output_digest.py
 
@@ -40,10 +46,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 from click.testing import CliRunner
 
 from conftest import FIXTURES, bad_fixture_paths, good_fixture_groups
-from genmodels import EDGE_STRINGS, FALLBACK_STRINGS, big_model, random_model, string_model
+from genmodels import (EDGE_STRINGS, FALLBACK_STRINGS, big_model, ill_formed_model,
+                       random_model, string_model)
 from gsnlint import cli
 from gsnlint.model import DEFAULT_CONTEXT_DIMENSIONS
 from gsnlint.parser import load_model, serialize_model, serialize_registries
+from gsnlint.rules import evaluate, make_profile
 from gsnlint.scaffold import ScaffoldOptions, scaffold_reference_model
 
 SEEDS = range(100)
@@ -145,12 +153,33 @@ def serialize_digest() -> tuple[str, int]:
     return sha.hexdigest(), len(models)
 
 
+def structure_digest(root: Path) -> tuple[str, int]:
+    """(sha256 over the guards' verdicts on the ill-formed models, model
+    count); each model is written under `root`, the working directory."""
+    profile = make_profile("gsn-wf")
+    runner = CliRunner()
+    sha = hashlib.sha256()
+    (root / "ill-formed").mkdir()
+    for seed in SEEDS:
+        model = ill_formed_model(seed)
+        findings = [[f.rule, f.severity.value, f.message, f.elements, str(f.location)]
+                    for f in evaluate(model, profile)]
+        name = f"ill-formed/seed-{seed:03d}.sac.yaml"
+        (root / name).write_text(serialize_model(model), encoding="utf-8")
+        result = runner.invoke(cli.main, ["check", name])
+        record = [findings, model.topo_order, name, result.exit_code, result.stdout,
+                  result.stderr]
+        sha.update(json.dumps(record).encode("utf-8") + b"\n")
+    return sha.hexdigest(), len(SEEDS)
+
+
 def main() -> None:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             results = digests(write_inputs(Path(tmp)))
+            structure = structure_digest(Path(tmp))
         finally:
             os.chdir(cwd)
     for family, (digest, runs) in results.items():
@@ -159,6 +188,8 @@ def main() -> None:
     print(f"{'views':9} {digest}  ({count} models)")
     digest, count = serialize_digest()
     print(f"{'serialize':9} {digest}  ({count} models)")
+    digest, count = structure
+    print(f"{'structure':9} {digest}  ({count} models)")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """The graph-traversal layer against reference implementations and networkx.
 
 `model._walk` is the layer's one traversal, an iterative depth-first
-search: its cycles feed WF1 and the parser's `cycle` diagnostics, its
-post-order gives `GsnModel.topo_order`, and `GsnModel.reachable_from` (R1,
-R5, ST1 and `descendants`) is its closure plus contexts.  The references
+search.  Its walk from every element runs once per model and is cached:
+its cycles feed WF1 and the parser's `cycle` diagnostics, and its
+post-order gives `GsnModel.topo_order`.  `GsnModel.reachable_from` (R1,
+R5, ST1 and `descendants`) is a walk's closure plus contexts.  The references
 below are the recursive cycle finder and the per-start reachability it
 replaced; networkx is an independent oracle used here only, never at run
 time.
@@ -11,8 +12,10 @@ time.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import networkx as nx
 import yaml
@@ -20,6 +23,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gsnlint import model as model_module
 from gsnlint.cli import main
 from gsnlint.findings import Severity
 from gsnlint.model import (
@@ -33,12 +37,13 @@ from gsnlint.model import (
     RoleTag,
     _walk,
     find_structural_problems,
+    link_model,
 )
 from gsnlint.parser import load_model, parse_model
 from gsnlint.rules import evaluate, make_profile
 from gsnlint.wellformed import _GUARD_RULES, check_wellformed
 
-from conftest import good_fixture_groups
+from conftest import FIXTURES, good_fixture_groups
 from genmodels import random_model
 
 
@@ -216,11 +221,55 @@ class TestStructuralGuards:
             model = GsnModel("case", modules=[GsnModule("a", elements[:split]),
                                               GsnModule("b", elements[split:])])
             expected = sorted((_GUARD_RULES[p.code], Severity.ERROR, p.message, p.elements)
-                              for p in find_structural_problems(model.modules))
+                              for p in find_structural_problems(model))
             found = sorted((f.rule, f.severity, f.message, f.elements)
                            for f in evaluate(model, profile)
                            if f.rule in ("WF1", "WF2", "WF3"))
             assert found == expected, elements
+
+    def test_an_element_listed_twice_is_a_duplicate(self):
+        element = GsnElement("G1", ElementKind.GOAL)
+        for modules in ([GsnModule("a", [element, element])],
+                        [GsnModule("a", [element]), GsnModule("b", [element])]):
+            problems = find_structural_problems(GsnModel("m", modules=modules))
+            assert [(p.code, p.elements) for p in problems] == [("duplicate-id", ("G1",))]
+
+
+# -- one support walk per model --------------------------------------
+
+
+class TestOneWalkPerModel:
+    """The guards and `topo_order` share the model's one cached walk; only
+    the `reachable_from` calls of R1, R5 and ST1 walk again."""
+
+    @staticmethod
+    def count_walks(monkeypatch) -> list[None]:
+        calls: list[None] = []
+
+        def counting(index, starts):
+            calls.append(None)
+            return _walk(index, starts)
+
+        monkeypatch.setattr(model_module, "_walk", counting)
+        return calls
+
+    def test_parsed_check(self, monkeypatch):
+        calls = self.count_walks(monkeypatch)
+        result = CliRunner().invoke(
+            main, ["check", "--format", "json", str(FIXTURES / "28-scaffold-default.sac.yaml")])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 4
+
+    def test_linked_evaluate(self, monkeypatch):
+        parsed, _ = load_model([str(FIXTURES / "28-scaffold-default.sac.yaml")])
+        calls = self.count_walks(monkeypatch)
+        model = link_model(parsed.id, parsed.version, parsed.modules, parsed.registries,
+                           parsed.artifacts)
+        evaluate(model, make_profile("all"))
+        assert len(calls) == 4
+        calls.clear()
+        find_structural_problems(model)
+        assert calls == []
 
 
 # -- reachability ----------------------------------------------------
@@ -365,6 +414,19 @@ _YAML_DATA = st.recursive(
     max_leaves=12)
 _SETTINGS = settings(max_examples=200, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
+_CLI_SETTINGS = settings(max_examples=100, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+def _document(elements: list[dict], split: int, with_registries: bool) -> dict:
+    """A model document with `elements` split over two modules."""
+    document = {"model": {"id": "case"},
+                "modules": [{"id": "m0", "elements": elements[:split]},
+                            {"id": "m1", "elements": elements[split:]}]}
+    if with_registries:
+        document["registries"] = _REGISTRIES
+        document["artifacts"] = _ARTIFACTS
+    return document
 
 
 def _parse_and_evaluate(document) -> None:
@@ -381,18 +443,46 @@ class TestNeverRaises:
     @given(elements=element_lists(), split=st.integers(0, 10),
            with_registries=st.booleans())
     def test_random_element_graphs(self, elements, split, with_registries):
-        document = {"model": {"id": "case"},
-                    "modules": [{"id": "m0", "elements": elements[:split]},
-                                {"id": "m1", "elements": elements[split:]}]}
-        if with_registries:
-            document["registries"] = _REGISTRIES
-            document["artifacts"] = _ARTIFACTS
-        _parse_and_evaluate(document)
+        _parse_and_evaluate(_document(elements, split, with_registries))
 
     @_SETTINGS
     @given(document=_YAML_DATA)
     def test_random_yaml_trees(self, document):
         _parse_and_evaluate(document)
+
+
+class TestExitCodes:
+    """`check`'s exit code, end to end: never 3, 2 exactly when
+    `parse_model` returns no model, otherwise 1 exactly when a reported
+    finding is an Error, or a Warning under --strict-warnings."""
+
+    @staticmethod
+    def check(document, strict: bool) -> None:
+        text = yaml.safe_dump(document, sort_keys=False)
+        model, _ = parse_model([("case.sac.yaml", text)])
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            Path("case.sac.yaml").write_text(text, encoding="utf-8")
+            argv = ["check", "--format", "json", "case.sac.yaml"]
+            result = runner.invoke(main, argv + ["--strict-warnings"] * strict)
+        assert result.exit_code != 3, result.output
+        if model is None:
+            assert result.exit_code == 2, result.output
+            return
+        failing = {"error", "warning"} if strict else {"error"}
+        findings = json.loads(result.stdout)["findings"]
+        assert result.exit_code == int(any(f["severity"] in failing for f in findings))
+
+    @_CLI_SETTINGS
+    @given(elements=element_lists(), split=st.integers(0, 10),
+           with_registries=st.booleans(), strict=st.booleans())
+    def test_random_element_graphs(self, elements, split, with_registries, strict):
+        self.check(_document(elements, split, with_registries), strict)
+
+    @_CLI_SETTINGS
+    @given(document=_YAML_DATA, strict=st.booleans())
+    def test_random_yaml_trees(self, document, strict):
+        self.check(document, strict)
 
 
 # -- deep chains -----------------------------------------------------

@@ -424,7 +424,7 @@ def reference_parse_model(
             Severity.ERROR, "model-header", "no model header found in any document",
             documents[0][0]))
 
-    for problem in find_structural_problems(modules):
+    for problem in find_structural_problems(GsnModel("", modules=modules)):
         loc = None
         if problem.code == "duplicate-id" and problem.elements:
             loc = duplicate_locations.get(problem.elements[0])
