@@ -235,9 +235,16 @@ class ModelError(Exception):
 
 
 def find_structural_problems(model: GsnModel) -> list[StructuralProblem]:
-    """Report duplicate ids, dangling references, relation cycles, and bad ACPs,
-    from the model's cached views (models are immutable once read): `index`,
-    where the first copy of an id wins, and the cycles of its support walk."""
+    """Report duplicate ids, dangling references, relation cycles, and bad ACPs.
+
+    The scan runs once per model (models are immutable once read), so the
+    parser's guard and WF1-WF3 share it."""
+    return list(model._structural_problems)
+
+
+def _scan_structure(model: GsnModel) -> tuple[StructuralProblem, ...]:
+    """The structural guard, from the model's cached views: `index`, where
+    the first copy of an id wins, and the cycles of its support walk."""
     problems: list[StructuralProblem] = []
     index = model.index
     seen: set[str] = set()
@@ -282,7 +289,7 @@ def find_structural_problems(model: GsnModel) -> list[StructuralProblem]:
         problems.append(StructuralProblem(
             "cycle", "supported_by cycle: " + " -> ".join((*cycle, cycle[0])), cycle,
             index[cycle[0]].location))
-    return problems
+    return tuple(problems)
 
 
 def _walk(index: dict[str, GsnElement],
@@ -338,7 +345,10 @@ class GsnModel:
 
     @cached_property
     def artifact_index(self) -> dict[str, Artifact]:
-        return {a.id: a for a in self.artifacts}
+        out: dict[str, Artifact] = {}
+        for artifact in self.artifacts:
+            out.setdefault(artifact.id, artifact)
+        return out
 
     def _referrers(self, relation: str) -> dict[str, list[str]]:
         """Inverse of a relation: element id -> ids of the elements naming it."""
@@ -361,6 +371,8 @@ class GsnModel:
     def _support_walk(self) -> tuple[list[str], list[tuple[str, ...]]]:
         """The walk from every element: its post-order and its cycles."""
         return _walk(self.index, self.index)
+
+    _structural_problems = cached_property(_scan_structure)
 
     @cached_property
     def topo_order(self) -> list[str]:
@@ -410,6 +422,36 @@ class GsnModel:
         return eff
 
     @cached_property
+    def argument_scopes(self) -> dict[str, frozenset[ArgumentType]]:
+        """Per element, the argument types whose members reach it: its own
+        `effective_types` plus the scopes of its supported_by parents (of its
+        referencers, for a contextual element); sets are shared as there.
+
+        On a well-formed model ``t in argument_scopes[e]`` holds exactly when
+        ``e in reachable_from(argument_subset(t))``, without a walk.
+        """
+        eff = self.effective_types
+        scopes: dict[str, frozenset[ArgumentType]] = {}
+        interned: dict[frozenset[ArgumentType], frozenset[ArgumentType]] = {}
+
+        def widen(eid: str, ids: list[str]) -> frozenset[ArgumentType]:
+            types = eff[eid]
+            for i in ids:
+                outer = scopes.get(i, _UNTYPED)
+                if types <= outer:
+                    types = outer
+                elif not outer <= types:
+                    types = types | outer
+            return interned.setdefault(types, types)
+
+        for eid in self.topo_order:
+            scopes[eid] = widen(eid, self.support_parents[eid])
+        for eid, element in self.index.items():
+            if element.kind in CONTEXTUAL_KINDS:
+                scopes[eid] = widen(eid, self.context_referencers[eid])
+        return scopes
+
+    @cached_property
     def argument_subsets(self) -> dict[ArgumentType, frozenset[str]]:
         """Argument type -> ids of its member elements, in one pass."""
         members: dict[ArgumentType, list[str]] = {t: [] for t in ArgumentType}
@@ -432,6 +474,15 @@ class GsnModel:
                     backed[eid] = True
                     break
         return backed
+
+    @cached_property
+    def role_members(self) -> dict[RoleTag, tuple[str, ...]]:
+        """Role -> sorted ids of the elements that carry it."""
+        members: dict[RoleTag, list[str]] = {role: [] for role in RoleTag}
+        for eid, element in self.index.items():
+            for role in element.roles:
+                members[role].append(eid)
+        return {role: tuple(sorted(eids)) for role, eids in members.items()}
 
     @cached_property
     def item_tracers(self) -> dict[str, tuple[str, ...]]:

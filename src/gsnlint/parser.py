@@ -17,7 +17,9 @@ booleans, enumerations, lists of them, and specs themselves are readers.
 Fields that read as ``None`` are left to the dataclass default.  A key
 repeated in one mapping is an Error `duplicate-key`, even when lenient,
 and its second value is not read, unless its `_Key` appends (module
-elements, registry lists, context dimensions).
+elements, registry lists, context dimensions).  An artifact id, or an item
+id within one registry, that an earlier entry of any document already
+had is an Error `duplicate-id` at the repeated entry.
 """
 
 from __future__ import annotations
@@ -48,7 +50,30 @@ from .model import (
     find_structural_problems,
 )
 
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader with lean resolver hooks, which compose calls per node:
+    no path resolvers are registered, so descending and ascending track
+    nothing, and `resolve` reads `BaseResolver.resolve`'s first-character
+    table of implicit resolvers without copying it."""
+
+    def descend_resolver(self, current_node, current_index):
+        pass
+
+    def ascend_resolver(self):
+        pass
+
+    def resolve(self, kind, value, implicit):
+        if kind is not yaml.ScalarNode:
+            return (self.DEFAULT_SEQUENCE_TAG if kind is yaml.SequenceNode
+                    else self.DEFAULT_MAPPING_TAG)
+        if implicit[0]:
+            for tag, regexp in self.yaml_implicit_resolvers.get(value[:1], ()):
+                if regexp.match(value):
+                    return tag
+        return self.DEFAULT_SCALAR_TAG
+
+
 _CDumper = getattr(yaml, "CSafeDumper", None)
 _DUMP_OPTIONS = dict(sort_keys=False, default_flow_style=False, allow_unicode=True, width=100)
 
@@ -59,43 +84,41 @@ _BOOL_VALUES = yaml.constructor.SafeConstructor.bool_values
 class _DocParser:
     """Per-document node-tree walker accumulating diagnostics."""
 
-    def __init__(self, path: str, lenient: bool, diags: list[ParseDiagnostic]):
+    def __init__(self, path: str, lenient: bool, diags: list[ParseDiagnostic],
+                 ids: dict[str, set[str]]):
         self.path = path
         self.lenient = lenient
         self.diags = diags
+        self.ids = ids  # ids read so far per unique namespace, across documents
 
     # -- diagnostics --------------------------------------------------
 
-    def _loc(self, node) -> tuple[int, int]:
-        mark = node.start_mark
-        return mark.line + 1, mark.column + 1
-
     def error(self, node, code: str, message: str, severity=Severity.ERROR) -> None:
-        line, col = self._loc(node)
-        self.diags.append(ParseDiagnostic(severity, code, message, self.path, line, col))
+        loc = self.location(node)
+        self.diags.append(ParseDiagnostic(severity, code, message, loc.file, loc.line, loc.column))
 
     def unknown_key(self, key_node, key: str, where: str) -> None:
         self.error(key_node, "unknown-key", f"unknown key '{key}' in {where}",
                    Severity.WARNING if self.lenient else Severity.ERROR)
 
     def location(self, node) -> SourceLocation:
-        line, col = self._loc(node)
-        return SourceLocation(self.path, line, col)
+        mark = node.start_mark
+        return SourceLocation(self.path, mark.line + 1, mark.column + 1)
 
     # -- node coercion ------------------------------------------------
 
     def mapping(self, node, where: str) -> Optional[list]:
+        """The (key node, value node) pairs of a mapping node."""
         if not isinstance(node, yaml.MappingNode):
             self.error(node, "bad-type", f"{where} must be a mapping")
             return None
-        return [(key.value if isinstance(key, yaml.ScalarNode) else "<non-scalar>", key, value)
-                for key, value in node.value]
+        return node.value
 
     def sequence(self, node, where: str) -> Optional[list]:
         if not isinstance(node, yaml.SequenceNode):
             self.error(node, "bad-type", f"{where} must be a sequence")
             return None
-        return list(node.value)
+        return node.value
 
     def string(self, node, where: str) -> Optional[str]:
         if not isinstance(node, yaml.ScalarNode) or node.tag.endswith((":map", ":seq")):
@@ -115,13 +138,12 @@ class _DocParser:
         raw = self.string(node, where)
         if raw is None:
             return None
-        try:
-            return enum_cls(raw)
-        except ValueError:
-            allowed = ", ".join(member.value for member in enum_cls)
+        member = enum_cls._value2member_map_.get(raw)
+        if member is None:
+            allowed = ", ".join(enum_cls._value2member_map_)
             self.error(node, "unknown-enum",
                        f"unknown enumeration value '{raw}' for {where} (expected one of: {allowed})")
-            return None
+        return member
 
     # -- records ------------------------------------------------------
 
@@ -138,26 +160,42 @@ class _DocParser:
 
     def record(self, node, spec: _Spec):
         """Read one mapping against `spec`; ``None`` when it cannot be built."""
-        items = self.mapping(node, spec.where)
-        if items is None:
+        pairs = self.mapping(node, spec.where)
+        if pairs is None:
             return None
         values: dict = {"location": self.location(node)} if spec.located else {}
-        for key, key_node, value_node in items:
-            entry = spec.keys.get(key)
+        keys = spec.keys
+        for key_node, value_node in pairs:
+            key = _key_name(key_node)
+            entry = keys.get(key)
             if entry is None:
                 self.unknown_key(key_node, key, spec.where)
                 continue
-            if entry.field not in values:
-                values[entry.field] = entry.read(self, value_node, entry.label)
-            elif entry.append:
-                values[entry.field] += entry.read(self, value_node, entry.label)
+            field, read, label, append = entry
+            if field not in values:
+                values[field] = read(self, value_node, label)
+            elif append:
+                values[field] += read(self, value_node, label)
             else:
                 self.error(key_node, "duplicate-key", f"duplicate key '{key}' in {spec.where}")
         if None in map(values.get, spec.required):
             if not all(key in values for key in spec.required):
                 self.error(node, "missing-key", spec.missing_message)
             return None
-        return spec.build(**{k: v for k, v in values.items() if v is not None})
+        if None in values.values():
+            values = {k: v for k, v in values.items() if v is not None}
+        built = spec.build(**values)
+        if spec.unique:
+            seen = self.ids.setdefault(spec.unique, set())
+            if built.id in seen:
+                self.error(node, "duplicate-id", f"duplicate id '{built.id}' in {spec.unique}")
+            seen.add(built.id)
+        return built
+
+
+def _key_name(node) -> str:
+    """A mapping key as the spec tables and diagnostics name it."""
+    return node.value if isinstance(node, yaml.ScalarNode) else "<non-scalar>"
 
 
 _Reader = Callable[[_DocParser, yaml.Node, str], object]
@@ -186,6 +224,7 @@ class _Spec:
     keys: dict[str, _Key]
     required: tuple[str, ...] = ()
     located: bool = False  # pass the mapping's SourceLocation as `location`
+    unique: str = ""  # where `id` must be unique across documents, as `duplicate-id` names it
 
     @property
     def missing_message(self) -> str:
@@ -206,7 +245,8 @@ def _list(read: _Reader, entry_label: Optional[str] = None) -> _Reader:
     return lambda parser, node, label: parser.records(node, label, read, entry_label)
 
 
-def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...]) -> _Spec:
+def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...],
+                    unique: str = "") -> _Spec:
     """A spec whose keys are `cls`'s fields: enum-typed ones read as enums,
     the rest as scalars; `label` is formatted with the key."""
     hints = get_type_hints(cls)
@@ -216,7 +256,7 @@ def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...]) -> _
         read = (_enum(kind) if isinstance(kind, type) and issubclass(kind, enum.Enum)
                 else _DocParser.string)
         keys[f.name] = _Key(f.name, read, label.format(f.name))
-    return _Spec(where, cls, keys, required)
+    return _Spec(where, cls, keys, required, unique=unique)
 
 
 _STRINGS = _list(_DocParser.string)
@@ -244,14 +284,16 @@ _MODULE = _Spec("module entry", GsnModule, {
 }, required=("id",))
 
 _REGISTRIES = _Spec("registries", dict, {
-    **{name: _Key(name, _list(_dataclass_spec(item_cls, "registry item", "{}", ("id",))),
+    **{name: _Key(name, _list(_dataclass_spec(item_cls, "registry item", "{}", ("id",),
+                                              unique=f"registry '{name}'")),
                   name, append=True)
        for name, item_cls in REGISTRY_ITEMS.items()},
     "context_dimensions": _Key("context_dimensions", _STRINGS, "context_dimensions",
                                append=True),
 })
 
-_ARTIFACT = _dataclass_spec(Artifact, "artifact entry", "artifact {}", ("id", "role"))
+_ARTIFACT = _dataclass_spec(Artifact, "artifact entry", "artifact {}", ("id", "role"),
+                            unique="artifacts")
 
 _HEADER = _Spec("model header", dict, {
     "id": _Key("id", _DocParser.string, "model id"),
@@ -299,9 +341,10 @@ def _parse_documents(
     modules: list[GsnModule] = []
     registries: dict[str, list] = {}
     artifacts: list[Artifact] = []
+    ids: dict[str, set[str]] = {}
 
     for path, text in documents:
-        parser = _DocParser(path, lenient, diags)
+        parser = _DocParser(path, lenient, diags, ids)
         try:
             root = yaml.compose(text, Loader=_Loader)
         except yaml.YAMLError as exc:
@@ -315,7 +358,8 @@ def _parse_documents(
             diags.append(ParseDiagnostic(
                 Severity.ERROR, "syntax", "document is empty", path))
             continue
-        for key, key_node, value in parser.mapping(root, "document") or []:
+        for key_node, value in parser.mapping(root, "document") or ():
+            key = _key_name(key_node)
             if key == "model":
                 is_mapping = isinstance(value, yaml.MappingNode)
                 if header_declared and is_mapping:

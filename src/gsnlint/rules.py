@@ -206,7 +206,7 @@ def catalog_as_json() -> str:
 
 def _role_members(model: GsnModel, subset: frozenset[str], role: RoleTag) -> list[str]:
     """Sorted ids of the elements of `subset` that carry `role`."""
-    return sorted(eid for eid in subset if role in model.index[eid].roles)
+    return [eid for eid in model.role_members[role] if eid in subset]
 
 
 def _missing_roles(model: GsnModel, rule: str, argument_type: ArgumentType,
@@ -232,7 +232,9 @@ def _rule_r1(model: GsnModel) -> list[Finding]:
                         "to the risk argument")]
     findings = []
     root = model.root
-    if root is not None:
+    # A root in the risk argument is its topmost member (it has no parents)
+    # and every walk reaches its start, so only another root needs the walk.
+    if root is not None and root.id not in risk:
         topmost = sorted(
             m for m in risk
             if not any(p in risk for p in model.support_parents[m]))
@@ -317,7 +319,7 @@ def _rule_r5(model: GsnModel) -> list[Finding]:
     risk = model.argument_subset(ArgumentType.RISK)
     # An explicitly re-tagged element leaves the risk subset, so containment
     # means sitting inside the risk argument's scope, not subset inclusion.
-    risk_scope = model.reachable_from(risk)
+    scopes = model.argument_scopes
     for name, argument_type in (("product", ArgumentType.PRODUCT),
                                 ("process", ArgumentType.PROCESS)):
         subset = model.argument_subset(argument_type)
@@ -325,7 +327,7 @@ def _rule_r5(model: GsnModel) -> list[Finding]:
             findings.append(Finding(
                 "R5", Severity.ERROR, f"the risk argument lacks a {name} argument"))
         elif risk:
-            stray = sorted(subset - risk_scope)
+            stray = sorted(e for e in subset if ArgumentType.RISK not in scopes[e])
             if stray:
                 findings.append(Finding(
                     "R5", Severity.ERROR,
@@ -425,12 +427,12 @@ def _rule_r10(model: GsnModel) -> list[Finding]:
 
 
 def _rule_st1(model: GsnModel) -> list[Finding]:
-    process_scope = model.reachable_from(model.argument_subset(ArgumentType.PROCESS))
+    scopes = model.argument_scopes
     findings = []
     for name, argument_type in (("conformance", ArgumentType.CONFORMANCE),
                                 ("compliance", ArgumentType.COMPLIANCE)):
         subset = model.argument_subset(argument_type)
-        stray = sorted(subset - process_scope)
+        stray = sorted(e for e in subset if ArgumentType.PROCESS not in scopes[e])
         if subset and stray:
             findings.append(Finding(
                 "ST1", Severity.WARNING,

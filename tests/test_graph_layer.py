@@ -3,11 +3,13 @@
 `model._walk` is the layer's one traversal, an iterative depth-first
 search.  Its walk from every element runs once per model and is cached:
 its cycles feed WF1 and the parser's `cycle` diagnostics, and its
-post-order gives `GsnModel.topo_order`.  `GsnModel.reachable_from` (R1,
-R5, ST1 and `descendants`) is a walk's closure plus contexts.  The references
-below are the recursive cycle finder and the per-start reachability it
-replaced; networkx is an independent oracle used here only, never at run
-time.
+post-order gives `GsnModel.topo_order`.  `GsnModel.reachable_from` (R1
+when the root is not itself in the risk argument, and `descendants`) is a
+walk's closure plus contexts.  R5 and ST1 read containment from
+`GsnModel.argument_scopes`, which on well-formed models equals the
+closure of each argument subset.  The references below are the recursive
+cycle finder and the per-start reachability it replaced; networkx is an
+independent oracle used here only, never at run time.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ from gsnlint.model import (
 )
 from gsnlint.parser import load_model, parse_model
 from gsnlint.rules import evaluate, make_profile
-from gsnlint.wellformed import _GUARD_RULES, check_wellformed
+from gsnlint.wellformed import _GUARD_RULES, LEGAL_SUPPORT_TARGETS, check_wellformed
 
 from conftest import FIXTURES, good_fixture_groups
-from genmodels import random_model
+from genmodels import big_model, random_model
 
 
 # -- references ------------------------------------------------------
@@ -151,6 +153,28 @@ def random_dag(rng: random.Random) -> dict[str, GsnElement]:
         for i, eid in enumerate(ids)}
 
 
+def random_wellformed(rng: random.Random) -> GsnModel:
+    """Up to 20 elements of random kinds, argument types and roles, each
+    supported only by later, legal ones (so joins below differently typed
+    parents are common), with contexts attached through in_context_of."""
+    kinds = [ElementKind.GOAL, ElementKind.STRATEGY, ElementKind.SOLUTION, ElementKind.CONTEXT]
+    elements = [GsnElement(f"E{i}", rng.choice(kinds),
+                           argument_type=rng.choice([None, None, *ArgumentType]),
+                           roles=frozenset(rng.sample(list(RoleTag), rng.randint(0, 2))))
+                for i in range(rng.randint(1, 20))]
+    for i, element in enumerate(elements):
+        later = elements[i + 1:]
+        legal = LEGAL_SUPPORT_TARGETS.get(element.kind, frozenset())
+        children = [e.id for e in later if e.kind in legal]
+        contexts = [e.id for e in later if e.kind is ElementKind.CONTEXT]
+        if element.kind in (ElementKind.GOAL, ElementKind.STRATEGY):
+            element.supported_by = tuple(
+                rng.sample(children, min(len(children), rng.randint(0, 3))))
+            element.in_context_of = tuple(
+                rng.sample(contexts, min(len(contexts), rng.randint(0, 2))))
+    return GsnModel("random", modules=[GsnModule("m", elements)])
+
+
 def wellformed_models() -> list[tuple[str, GsnModel]]:
     models = [(f"random-{seed}", random_model(seed)) for seed in range(100)]
     for name, paths in good_fixture_groups():
@@ -239,8 +263,10 @@ class TestStructuralGuards:
 
 
 class TestOneWalkPerModel:
-    """The guards and `topo_order` share the model's one cached walk; only
-    the `reachable_from` calls of R1, R5 and ST1 walk again."""
+    """The guards and `topo_order` share the model's one cached walk, and R5
+    and ST1 read `argument_scopes`; only R1 walks again, from the root, and
+    only when the root is not itself in the risk argument (so in this
+    fixture, whose root goal is untyped)."""
 
     @staticmethod
     def count_walks(monkeypatch) -> list[None]:
@@ -258,7 +284,7 @@ class TestOneWalkPerModel:
         result = CliRunner().invoke(
             main, ["check", "--format", "json", str(FIXTURES / "28-scaffold-default.sac.yaml")])
         assert result.exit_code == 0, result.output
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_linked_evaluate(self, monkeypatch):
         parsed, _ = load_model([str(FIXTURES / "28-scaffold-default.sac.yaml")])
@@ -266,7 +292,7 @@ class TestOneWalkPerModel:
         model = link_model(parsed.id, parsed.version, parsed.modules, parsed.registries,
                            parsed.artifacts)
         evaluate(model, make_profile("all"))
-        assert len(calls) == 4
+        assert len(calls) == 2
         calls.clear()
         find_structural_problems(model)
         assert calls == []
@@ -327,6 +353,35 @@ class TestReachability:
             "E3": GsnElement("E3", ElementKind.GOAL),
         }
         assert as_model(index).reachable_from(["E0"]) == {"E0", "E3", "E4", "E5"}
+
+
+class TestArgumentScopes:
+    """`argument_scopes` and `role_members` are exact on well-formed models."""
+
+    @staticmethod
+    def models() -> list[tuple[str, GsnModel]]:
+        rng = random.Random(37)
+        generated = [(f"random-wellformed-{i}", random_wellformed(rng)) for i in range(500)]
+        for name, model in generated:
+            assert not any(f.severity is Severity.ERROR for f in check_wellformed(model)), name
+        return [*wellformed_models(), ("big_model(2000, 1000)", big_model(2000, 1000)),
+                *generated]
+
+    def test_scopes_are_the_closure_of_each_argument(self):
+        for name, model in self.models():
+            scopes = model.argument_scopes
+            assert scopes.keys() == model.index.keys(), name
+            for argument_type in ArgumentType:
+                in_scope = {eid for eid, types in scopes.items() if argument_type in types}
+                assert in_scope == model.reachable_from(
+                    model.argument_subset(argument_type)), (name, argument_type)
+
+    def test_role_members_filter_the_index(self):
+        for name, model in self.models():
+            for role in RoleTag:
+                assert model.role_members[role] == tuple(sorted(
+                    eid for eid, element in model.index.items() if role in element.roles)), \
+                    (name, role)
 
 
 # -- topological order -----------------------------------------------

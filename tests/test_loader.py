@@ -1,0 +1,134 @@
+"""`parser._Loader` resolves node tags exactly as the safe loaders do.
+
+`_Loader` subclasses libyaml's `CSafeLoader` (PyYAML's pure-Python
+`SafeLoader` where libyaml is missing) and replaces the three resolver
+hooks that the composer calls once per node.  Every fixture and generated
+scalars compose to the same node kinds and tags under `_Loader`, under
+both safe loaders, and under the same hooks built on `SafeLoader`; so does
+the seeded mutation corpus of `test_parser_table.py`, against `SafeLoader`
+on one seed of four.  The last test pins how
+`parse_model` calls `yaml.compose`: through the module attribute, once per
+document, which the benchmark's `parser.compose_s` span relies on.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gsnlint import parser
+from gsnlint.parser import parse_model
+
+from test_parser_table import fixture_documents, mutated_cases
+
+#: The lean hooks on the pure-Python loader, as `_Loader` is built without libyaml.
+LeanSafeLoader = type("LeanSafeLoader", (yaml.SafeLoader,), {
+    hook: vars(parser._Loader)[hook]
+    for hook in ("descend_resolver", "ascend_resolver", "resolve")})
+
+#: Each lean loader and the loader it must agree with on every input.
+PAIRS = [(parser._Loader, parser._Loader.__bases__[0]), (LeanSafeLoader, yaml.SafeLoader)]
+ALL = tuple(dict.fromkeys(loader for pair in PAIRS for loader in pair))
+
+
+def node_tags(text: str, loader) -> list[tuple[str, str]] | None:
+    """(node kind, tag) of every node in document order; None when the text
+    does not compose."""
+    try:
+        root = yaml.compose(text, Loader=loader)
+    except yaml.YAMLError:
+        return None
+    out = []
+    stack = [root] if root is not None else []
+    while stack:
+        node = stack.pop()
+        out.append((type(node).__name__, node.tag))
+        if isinstance(node, yaml.MappingNode):
+            stack += [part for pair in reversed(node.value) for part in reversed(pair)]
+        elif isinstance(node, yaml.SequenceNode):
+            stack += reversed(node.value)
+    return out
+
+
+def assert_same_tags(text: str, loaders=ALL) -> None:
+    """Every loader that composes `text` gives the same tags, and a lean
+    loader composes exactly what its base composes.  (libyaml and the
+    pure-Python scanner may disagree on what composes at all.)"""
+    tags = {loader: node_tags(text, loader) for loader in loaders}
+    composed = [t for t in tags.values() if t is not None]
+    assert all(t == composed[0] for t in composed), text
+    for lean, base in PAIRS:
+        if lean in tags and base in tags:
+            assert (tags[lean] is None) == (tags[base] is None), (lean.__name__, text)
+
+
+def test_lean_loader_builds_on_libyaml_where_present():
+    base = parser._Loader.__bases__[0]
+    assert base is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+def test_fixtures_compose_to_the_same_tags():
+    for _, documents in fixture_documents():
+        for _, text in documents:
+            assert_same_tags(text)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutation_corpus_composes_to_the_same_tags(seed):
+    """`_Loader` against its base on every case, and against the pure-Python
+    `SafeLoader`, ten times slower, on the first seed's cases."""
+    loaders = (parser._Loader, parser._Loader.__bases__[0]) + ((yaml.SafeLoader,) if seed == 0
+                                                                else ())
+    for _, documents in mutated_cases(250, seed):
+        for _, text in documents:
+            assert_same_tags(text, loaders)
+
+
+#: Plain scalars that YAML 1.1 resolves to other tags, and near misses.
+_LOOK_ALIKES = st.sampled_from([
+    "true", "True", "TRUE", "tRue", "false", "yes", "No", "on", "OFF", "y", "n", "Y",
+    "null", "Null", "NULL", "nul", "~", "~~", "", "0", "-1", "+12", "0x1F", "0o17", "017",
+    "0b101", "09", "1_000", "190:20:30", "1:20", "12:30:00", "1.5", "-.5", "1.", ".",
+    "1e3", "6.8523015e+5", ".inf", "-.Inf", ".NaN", "2001-12-14",
+    "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10 -5", "2001-1-1", "<<", "=",
+    "==", "-", "+", "o", "goal", "G1",
+])
+_SCALARS = st.one_of(
+    _LOOK_ALIKES,
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=12),
+    st.lists(_LOOK_ALIKES, min_size=2, max_size=3).map(" ".join))
+
+
+def _styled(value: str, style: str) -> str:
+    if style == "plain":
+        return value
+    if style == "single":
+        return "'" + value.replace("'", "''") + "'"
+    return json.dumps(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_SCALARS, style=st.sampled_from(["plain", "single", "double"]))
+def test_scalars_compose_to_the_same_tags(value, style):
+    scalar = _styled(value, style)
+    assert_same_tags(f"a: {scalar}\n{scalar}: b\nc: [{scalar}, x]\nd:\n  - {scalar}\n")
+
+
+def test_parse_model_composes_each_document_once_with_the_lean_loader(monkeypatch):
+    calls = []
+    compose = yaml.compose
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(yaml, "compose", spy)
+    documents = [("main.sac.yaml", "model: {id: m}\nmodules: [{id: a, elements: []}]\n"),
+                 ("registries.sac.yaml", "registries: {hazards: [{id: H1}]}\n")]
+    model, diags = parse_model(documents)
+    assert model is not None, diags
+    assert calls == [((text,), {"Loader": parser._Loader}) for _, text in documents]

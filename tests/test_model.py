@@ -74,6 +74,12 @@ class TestResolve:
                 for ref in (*element.supported_by, *element.in_context_of):
                     assert model.resolve(ref).id == ref
 
+    def test_artifact_index_keeps_the_first_copy(self):
+        first = Artifact("A1", ArtifactRole.EVIDENCE)
+        model = GsnModel("m", artifacts=[first, Artifact("A1", ArtifactRole.CONTEXT_DOC)])
+        assert model.artifact_index == {"A1": first}
+        assert model.artifact_index["A1"] is first
+
 
 class TestArgumentSubset:
     def test_inheritance_base_case(self):

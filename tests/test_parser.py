@@ -5,10 +5,12 @@ import time
 
 import pytest
 import yaml
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsnlint import parser
+from gsnlint.cli import main
 from gsnlint.model import ArgumentType, ElementKind, canonical_dict, models_equal
 from gsnlint.parser import load_model, parse_model, serialize_model
 
@@ -216,6 +218,46 @@ class TestParseErrors:
         model, diags = parse_text(text)
         assert model is None
         assert [str(d) for d in diags] == expected
+
+    # A repeated artifact id, or item id within one registry, is an Error at
+    # the repeated entry, lenient or not, so no rule judges two copies.
+    @pytest.mark.parametrize("fixture,entry,repeat,expected", [
+        ("08-artifacts.sac.yaml",
+         "  - {id: EV1, role: evidence, title: Report, uri: evidence/report.pdf}\n",
+         "  - {id: EV1, role: context_doc}\n",
+         ":15:5: error: duplicate id 'EV1' in artifacts [duplicate-id]"),
+        ("21-traces.sac.yaml",
+         "    - {id: H1, description: Managed and traced, status: managed}\n",
+         "    - {id: H1, description: Open copy, status: open}\n",
+         ":17:7: error: duplicate id 'H1' in registry 'hazards' [duplicate-id]"),
+    ], ids=["artifact", "hazard"])
+    def test_repeated_ids_in_a_fixture(self, tmp_path, fixture, entry, repeat, expected):
+        text = (FIXTURES / fixture).read_text(encoding="utf-8")
+        assert entry in text
+        path = tmp_path / fixture
+        path.write_text(text.replace(entry, entry + repeat), encoding="utf-8")
+        for lenient in (False, True):
+            model, diags = load_model([str(path)], lenient=lenient)
+            assert model is None
+            assert [str(d) for d in diags] == [str(path) + expected]
+        result = CliRunner().invoke(main, ["check", str(path)])
+        assert result.exit_code == 2
+        assert expected in result.output
+
+    def test_repeated_ids_across_documents(self):
+        documents = [
+            ("main.sac.yaml", "model: {id: m}\nartifacts: [{id: A1, role: evidence}]\n"
+                              "registries: {hazards: [{id: H1}]}\n"),
+            ("more.sac.yaml", "registries:\n  hazards:\n    - {id: H2}\n    - {id: H1}\n"
+                              "  regulatory_requirements:\n    - {id: H1}\n"
+                              "artifacts:\n  - {id: H1, role: evidence}\n"
+                              "  - {id: A1, role: context_doc}\n"),
+        ]
+        model, diags = parse_model(documents)
+        assert model is None
+        assert [str(d) for d in diags] == [
+            "more.sac.yaml:4:7: error: duplicate id 'H1' in registry 'hazards' [duplicate-id]",
+            "more.sac.yaml:9:5: error: duplicate id 'A1' in artifacts [duplicate-id]"]
 
     def test_non_scalar_key_in_a_registry_item_is_an_unknown_key(self):
         text = "model: {id: d}\nregistries:\n  hazards:\n    - {? [a] : b, id: H1}\n"

@@ -10,7 +10,9 @@ and text-level cases for repeated keys and empty versions.
 A key repeated in one mapping is an Error `duplicate-key` at the repeated
 key, in strict and lenient mode alike, except where the repetition
 appends (module `elements`, the registry lists, `context_dimensions`);
-the first value stands.
+the first value stands.  An artifact id, or an item id within one
+registry, that an earlier entry of any document had is an Error
+`duplicate-id` at the repeated entry.
 """
 
 from __future__ import annotations
@@ -65,10 +67,12 @@ _HEADER_KEYS = {"id", "version", "fragmentary"}
 class ReferenceDocParser:
     """The hand-written per-record walkers the spec tables replaced."""
 
-    def __init__(self, path: str, lenient: bool, diags: list[ParseDiagnostic]):
+    def __init__(self, path: str, lenient: bool, diags: list[ParseDiagnostic],
+                 seen_ids: dict[str, set]):
         self.path = path
         self.lenient = lenient
         self.diags = diags
+        self.seen_ids = seen_ids
 
     # -- diagnostics --------------------------------------------------
 
@@ -98,6 +102,13 @@ class ReferenceDocParser:
             return True
         seen.add(key)
         return False
+
+    def repeated_id(self, node, item_id: str, where: str) -> None:
+        """Report `item_id` when an earlier entry, in any document, had it."""
+        seen = self.seen_ids.setdefault(where, set())
+        if item_id in seen:
+            self.error(node, "duplicate-id", f"duplicate id '{item_id}' in {where}")
+        seen.add(item_id)
 
     def location(self, node) -> SourceLocation:
         line, col = self._loc(node)
@@ -249,7 +260,7 @@ class ReferenceDocParser:
             return None
         return GsnModule(module_id, elements)
 
-    def registry_item(self, node, item_cls, spec: dict):
+    def registry_item(self, node, item_cls, spec: dict, registry: str):
         items = self.mapping(node, "registry item")
         if items is None:
             return None
@@ -270,6 +281,7 @@ class ReferenceDocParser:
                 self.error(node, "missing-key", "registry item requires 'id'")
             return None
         fields = {k: v for k, v in fields.items() if v is not None}
+        self.repeated_id(node, fields["id"], f"registry '{registry}'")
         return item_cls(**fields)
 
     def registries(self, node, registries: Registries, dims_declared: list[bool]) -> None:
@@ -278,27 +290,30 @@ class ReferenceDocParser:
             if key == "hazards":
                 for entry in self.sequence(value, "hazards") or []:
                     item = self.registry_item(
-                        entry, Hazard, {"id": str, "description": str, "status": HazardStatus})
+                        entry, Hazard, {"id": str, "description": str, "status": HazardStatus},
+                        key)
                     if item is not None:
                         registries.hazards.append(item)
             elif key == "regulatory_requirements":
                 for entry in self.sequence(value, key) or []:
                     item = self.registry_item(
-                        entry, RegulatoryRequirement, {"id": str, "source": str, "text": str})
+                        entry, RegulatoryRequirement, {"id": str, "source": str, "text": str},
+                        key)
                     if item is not None:
                         registries.regulatory_requirements.append(item)
             elif key == "normative_requirements":
                 for entry in self.sequence(value, key) or []:
                     item = self.registry_item(
                         entry, NormativeRequirement,
-                        {"id": str, "source": str, "text": str, "selection_rationale": str})
+                        {"id": str, "source": str, "text": str, "selection_rationale": str},
+                        key)
                     if item is not None:
                         registries.normative_requirements.append(item)
             elif key == "risk_acceptance_criteria":
                 for entry in self.sequence(value, key) or []:
                     item = self.registry_item(
                         entry, RiskAcceptanceCriterion,
-                        {"id": str, "level": RacLevel, "text": str})
+                        {"id": str, "level": RacLevel, "text": str}, key)
                     if item is not None:
                         registries.risk_acceptance_criteria.append(item)
             elif key == "context_dimensions":
@@ -328,6 +343,7 @@ class ReferenceDocParser:
             if "id" not in fields or "role" not in fields:
                 self.error(node, "missing-key", "artifact entry requires 'id' and 'role'")
             return None
+        self.repeated_id(node, fields["id"], "artifacts")
         return Artifact(**{k: v for k, v in fields.items() if v is not None})
 
 
@@ -354,9 +370,10 @@ def reference_parse_model(
     artifacts: list[Artifact] = []
     element_locations: dict[str, SourceLocation] = {}
     duplicate_locations: dict[str, SourceLocation] = {}
+    seen_ids: dict[str, set] = {}
 
     for path, text in documents:
-        parser = ReferenceDocParser(path, lenient, diags)
+        parser = ReferenceDocParser(path, lenient, diags, seen_ids)
         try:
             root = yaml.compose(text, Loader=_Loader)
         except yaml.YAMLError as exc:
@@ -535,7 +552,8 @@ def mutate(data, rng: random.Random) -> None:
 
 def second_document(rng: random.Random) -> dict:
     """A companion file: maybe a second header, more elements, registries
-    (context_dimensions among them) and artifacts."""
+    (context_dimensions among them) and artifacts, whose ids may repeat the
+    fixtures' own."""
     doc: dict = {}
     if rng.random() < 0.5:
         doc["model"] = {"id": "second", "version": rng.choice(["2", "", None])}
@@ -546,11 +564,12 @@ def second_document(rng: random.Random) -> dict:
     if rng.random() < 0.6:
         registries["context_dimensions"] = rng.sample(["odd", "ops", "spec"], rng.randint(0, 2))
     if rng.random() < 0.4:
-        registries["hazards"] = [{"id": "H-extra", "status": rng.choice(["open", "managed"])}]
+        registries["hazards"] = [{"id": rng.choice(["H-extra", "H1"]),
+                                  "status": rng.choice(["open", "managed"])}]
     if registries:
         doc["registries"] = registries
     if rng.random() < 0.3:
-        doc["artifacts"] = [{"id": "A-extra", "role": "evidence"}]
+        doc["artifacts"] = [{"id": rng.choice(["A-extra", "EV1"]), "role": "evidence"}]
     return doc
 
 
