@@ -19,7 +19,12 @@ repeated in one mapping is an Error `duplicate-key`, even when lenient,
 and its second value is not read, unless its `_Key` appends (module
 elements, registry lists, context dimensions).  An artifact id, or an item
 id within one registry, that an earlier entry of any document already
-had is an Error `duplicate-id` at the repeated entry.
+had is an Error `duplicate-id` at the repeated entry.  Each collection's
+entries are detached from its node when it is read, and each sequence
+entry leaves its list before it is read, so the node tree is freed while
+the model grows; a collection that a YAML alias brings back is then an
+Error `alias` at the collection itself, since libyaml keeps no position
+for the alias.
 """
 
 from __future__ import annotations
@@ -108,17 +113,27 @@ class _DocParser:
     # -- node coercion ------------------------------------------------
 
     def mapping(self, node, where: str) -> Optional[list]:
-        """The (key node, value node) pairs of a mapping node."""
+        """The (key node, value node) pairs of a mapping node, taken from it."""
         if not isinstance(node, yaml.MappingNode):
             self.error(node, "bad-type", f"{where} must be a mapping")
             return None
-        return node.value
+        return self.take(node, where)
 
     def sequence(self, node, where: str) -> Optional[list]:
         if not isinstance(node, yaml.SequenceNode):
             self.error(node, "bad-type", f"{where} must be a sequence")
             return None
-        return node.value
+        return self.take(node, where)
+
+    def take(self, node, where: str) -> Optional[list]:
+        """A collection's entries, detached from its node; ``None`` and `alias`
+        when an alias brings back a collection already taken."""
+        value = node.value
+        if value is None:
+            self.error(node, "alias", f"{where} is an alias to a collection read before")
+            return None
+        node.value = None
+        return value
 
     def string(self, node, where: str) -> Optional[str]:
         if not isinstance(node, yaml.ScalarNode) or node.tag.endswith((":map", ":seq")):
@@ -151,8 +166,10 @@ class _DocParser:
                 entry_where: Optional[str] = None) -> list:
         """Read every entry of a sequence; entries that do not read are skipped."""
         entry_where = entry_where or f"entry of {where}"
+        entries = self.sequence(node, where) or ()
         out = []
-        for entry in self.sequence(node, where) or []:
+        for i, entry in enumerate(entries):
+            entries[i] = None
             value = read(self, entry, entry_where)
             if value is not None:
                 out.append(value)
@@ -358,7 +375,10 @@ def _parse_documents(
             diags.append(ParseDiagnostic(
                 Severity.ERROR, "syntax", "document is empty", path))
             continue
-        for key_node, value in parser.mapping(root, "document") or ():
+        pairs = parser.mapping(root, "document") or ()
+        root = None  # each top-level pair now holds its own part of the tree
+        for i, (key_node, value) in enumerate(pairs):
+            pairs[i] = None
             key = _key_name(key_node)
             if key == "model":
                 is_mapping = isinstance(value, yaml.MappingNode)
@@ -433,22 +453,26 @@ def _dump(data: dict) -> str:
     writes different bytes: it escapes astral-plane characters, writes
     U+0085 as ``\\N``, and folds long double-quoted scalars (a tab, or a
     space next to a line break, asks for that style) at other points.
+    The pure-Python emitter writes U+0085 unescaped in a single-quoted
+    scalar, where a reader takes it for a line break and folds it into a
+    space; so a tree holding one is written with all non-ASCII escaped.
     """
-    dumper = _CDumper if _CDumper and _printable_ascii(data) else yaml.SafeDumper
+    odd = [s for s in _strings(data) if not (s.isascii() and s.isprintable())]
+    if any("\x85" in s for s in odd):
+        return yaml.dump(data, Dumper=yaml.SafeDumper, **{**_DUMP_OPTIONS, "allow_unicode": False})
+    dumper = _CDumper if _CDumper and not odd else yaml.SafeDumper
     return yaml.dump(data, Dumper=dumper, **_DUMP_OPTIONS)
 
 
-def _printable_ascii(data) -> bool:
-    """Whether every string in a tree of dicts, lists and scalars is 0x20-0x7E."""
+def _strings(data):
+    """Every string in a tree of dicts, lists and scalars, keys included."""
     stack = [data]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
-            if not (item.isascii() and item.isprintable()):
-                return False
+            yield item
         elif isinstance(item, dict):
             stack += item
             stack += item.values()
         elif isinstance(item, list):
             stack += item
-    return True

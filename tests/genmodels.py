@@ -5,7 +5,9 @@ elements with randomized argument typing, roles, registries, and trace
 links; big_model builds a wide goal/strategy tree for performance tests;
 string_model puts one string into every kind of free text a model
 writes, for the YAML writer's tests; ill_formed_model builds small models
-that skip the structural guards, for the guards' own tests.
+that skip the structural guards, for the guards' own tests; alias_document
+writes a model text that names one ACP, element and module k times each
+through YAML aliases.
 """
 
 from __future__ import annotations
@@ -236,3 +238,16 @@ def ill_formed_model(seed: int) -> GsnModel:
     split = rng.randint(0, len(elements))
     return GsnModel(f"ill-formed-{seed}", modules=[GsnModule("a", elements[:split]),
                                                    GsnModule("b", elements[split:])])
+
+
+def alias_document(k: int) -> str:
+    """A model whose one module, one element and one ACP are each anchored
+    once and aliased k - 1 times more (about 12 bytes per k).  A reader that
+    follows aliases reads k**3 ACP records from it."""
+    def named(anchor: str, body: str) -> str:
+        return ", ".join([f"&{anchor} {body}"] + [f"*{anchor}"] * (k - 1))
+
+    acps = named("A", "{target: G, relation: supported_by, confidence_goal: G}")
+    elements = named("E", f"{{id: G, kind: goal, acp: [{acps}]}}")
+    modules = named("M", f"{{id: m, elements: [{elements}]}}")
+    return f"model: {{id: a}}\nmodules: [{modules}]\n"

@@ -5,14 +5,17 @@
 replaced.  Both parsers read the same documents; their diagnostics (in
 order), canonical dicts and element locations must be equal.  The corpus
 is every fixture, strict and lenient, seeded mutations of the fixtures,
-and text-level cases for repeated keys and empty versions.
+fixtures with anchors and aliases at random collection positions, and
+text-level cases for repeated keys, aliases and empty versions.
 
 A key repeated in one mapping is an Error `duplicate-key` at the repeated
 key, in strict and lenient mode alike, except where the repetition
 appends (module `elements`, the registry lists, `context_dimensions`);
 the first value stands.  An artifact id, or an item id within one
 registry, that an earlier entry of any document had is an Error
-`duplicate-id` at the repeated entry.
+`duplicate-id` at the repeated entry.  Each YAML collection is read at most
+once: one that an alias brings back is an Error `alias` at the collection,
+which the reference finds with a set of the collections it has read.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from typing import Optional
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsnlint.findings import ParseDiagnostic, Severity
 from gsnlint.model import (
@@ -50,6 +55,7 @@ from gsnlint.model import (
 from gsnlint.parser import parse_model
 
 from conftest import bad_fixture_paths, good_fixture_groups
+from genmodels import alias_document
 
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
@@ -73,6 +79,7 @@ class ReferenceDocParser:
         self.lenient = lenient
         self.diags = diags
         self.seen_ids = seen_ids
+        self.visited: set[int] = set()  # ids of the collections read; the tree outlives the walk
 
     # -- diagnostics --------------------------------------------------
 
@@ -116,9 +123,19 @@ class ReferenceDocParser:
 
     # -- node coercion ------------------------------------------------
 
+    def read_before(self, node, where: str) -> bool:
+        """Report a collection that an alias brings back a second time."""
+        if id(node) in self.visited:
+            self.error(node, "alias", f"{where} is an alias to a collection read before")
+            return True
+        self.visited.add(id(node))
+        return False
+
     def mapping(self, node, where: str) -> Optional[list]:
         if not isinstance(node, yaml.MappingNode):
             self.error(node, "bad-type", f"{where} must be a mapping")
+            return None
+        if self.read_before(node, where):
             return None
         return [(key.value if isinstance(key, yaml.ScalarNode) else "<non-scalar>", key, value)
                 for key, value in node.value]
@@ -126,6 +143,8 @@ class ReferenceDocParser:
     def sequence(self, node, where: str) -> Optional[list]:
         if not isinstance(node, yaml.SequenceNode):
             self.error(node, "bad-type", f"{where} must be a sequence")
+            return None
+        if self.read_before(node, where):
             return None
         return list(node.value)
 
@@ -364,6 +383,7 @@ def reference_parse_model(
         return None, diags
 
     header: Optional[dict] = None
+    header_declared = False
     modules: list[GsnModule] = []
     registries = Registries(context_dimensions=[])
     dims_declared = [False]
@@ -392,12 +412,16 @@ def reference_parse_model(
             continue
         for key, key_node, value in items:
             if key == "model":
+                # A second header mapping is refused before it is read, so an
+                # alias to the first is `model-header`, not `alias`.
+                if isinstance(value, yaml.MappingNode):
+                    if header_declared:
+                        parser.error(key_node, "model-header",
+                                     "model header declared more than once")
+                        continue
+                    header_declared = True
                 model_items = parser.mapping(value, "model header")
                 if model_items is None:
-                    continue
-                if header is not None:
-                    parser.error(key_node, "model-header",
-                                 "model header declared more than once")
                     continue
                 header = {"id": None, "version": "0", "fragmentary": False}
                 seen: set = set()
@@ -573,8 +597,8 @@ def second_document(rng: random.Random) -> dict:
     return doc
 
 
-def mutated_cases(count: int, seed: int):
-    rng = random.Random(seed)
+def loaded_fixtures() -> list[tuple[str, list]]:
+    """The fixture groups whose documents all load as mappings, as plain data."""
     bases = []
     for name, documents in fixture_documents():
         try:
@@ -583,21 +607,55 @@ def mutated_cases(count: int, seed: int):
             continue
         if all(isinstance(doc, dict) for doc in loaded):
             bases.append((name, loaded))
+    return bases
+
+
+def dumped(docs: list) -> list[tuple[str, str]]:
+    """Plain-data documents as YAML; an object shared within one document
+    is written once with an anchor and then as aliases."""
+    return [(f"doc{i}.sac.yaml", yaml.dump(doc, Dumper=_Dumper, sort_keys=False))
+            for i, doc in enumerate(docs)]
+
+
+def mutated_cases(count: int, seed: int):
+    rng = random.Random(seed)
+    bases = loaded_fixtures()
     for case in range(count):
         name, loaded = rng.choice(bases)
         docs = copy.deepcopy(loaded)
         if rng.random() < 0.3:
             docs.append(second_document(rng))
         mutate(rng.choice(docs), rng)
-        yield f"{name}#{case}", [(f"doc{i}.sac.yaml",
-                                  yaml.dump(doc, Dumper=_Dumper, sort_keys=False))
-                                 for i, doc in enumerate(docs)]
+        yield f"{name}#{case}", dumped(docs)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_seeded_mutations_match_reference(seed):
     for context, documents in mutated_cases(250, seed):
         assert_same(documents, context)
+
+
+# -- aliases ---------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_aliased_collections_match_reference(data):
+    """Anchors and aliases at random collection positions of a fixture, some
+    of them making a collection contain itself: both parsers return the same
+    diagnostics and neither raises."""
+    name, loaded = data.draw(st.sampled_from(loaded_fixtures()))
+    docs = copy.deepcopy(loaded)
+    slots = _slots(docs)  # taken before any edit: an edit may make the data cyclic
+    collections = [(c, k) for c, k in slots if isinstance(c[k], (dict, list))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        source, key = data.draw(st.sampled_from(collections))
+        target, slot = data.draw(st.sampled_from(slots))
+        target[slot] = source[key]
+    documents = dumped(docs)
+    assert_same(documents, name)
+    model, diags = parse_model(documents)
+    assert (model is None) == any(d.severity is Severity.ERROR for d in diags)
 
 
 # -- text-level cases ------------------------------------------------
@@ -709,6 +767,15 @@ modules:
     assert model.registries.item_ids("hazards") == ["H1", "H2"]
     assert model.registries.context_dimensions == ["odd", "ops", "spec"]
     assert [m.id for m in model.modules] == ["m1", "m2"]
+
+
+@pytest.mark.parametrize("text", [
+    "model: &H {id: d}\nmodel: *H\n",
+    "modules: [{id: m, elements: [&H {id: G, kind: goal}]}]\nmodel: *H\nmodel: {id: d}\n",
+    alias_document(5),
+], ids=["second-header", "header-after-element", "amplifying"])
+def test_text_level_aliases_match_reference(text):
+    assert_same([("case.sac.yaml", text)], text)
 
 
 @pytest.mark.parametrize("version", ["version: ''", "version:"])
