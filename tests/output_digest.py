@@ -1,7 +1,10 @@
 """Digest of the CLI's observable output, for byte-identity checks.
 
 Runs `check`, `trace` and `render` under fixed option variants over every
-good and bad fixture and `random_model` seeds 0-99, in process through
+good and bad fixture and `random_model` seeds 0-99 (and `check` also over
+the scaffold mutation corpus, `mutations.MUTATIONS` each applied to
+`scaffold_reference_model()`, so every rule's own finding is hashed), in
+process through
 click's CliRunner, and prints one sha256 per command family over each
 run's (argv, exit code, stdout, stderr).  Inputs are copied into a
 temporary directory and named by relative paths, so the digest does not
@@ -48,6 +51,7 @@ from click.testing import CliRunner
 from conftest import FIXTURES, bad_fixture_paths, good_fixture_groups
 from genmodels import (EDGE_STRINGS, FALLBACK_STRINGS, big_model, ill_formed_model,
                        random_model, string_model)
+from mutations import MUTATIONS, mutate
 from gsnlint import cli
 from gsnlint.model import DEFAULT_CONTEXT_DIMENSIONS
 from gsnlint.parser import load_model, serialize_model, serialize_registries
@@ -58,6 +62,9 @@ SEEDS = range(100)
 PROFILES = ("core", "instantiation", "gsn-wf", "all")
 REGISTRIES = ("hazards", "normative_requirements", "regulatory_requirements",
               "risk_acceptance_criteria")
+
+#: Command families that also run over the scaffold mutation corpus.
+MUTATION_FAMILIES = ("check",)
 
 #: Command family -> option variants; each variant runs once per input.
 VARIANTS: dict[str, list[list[str]]] = {
@@ -70,9 +77,10 @@ VARIANTS: dict[str, list[list[str]]] = {
 }
 
 
-def write_inputs(root: Path) -> list[list[str]]:
-    """Copy the fixtures and write the random models under `root`; return
-    each input's file list, relative to `root`."""
+def write_inputs(root: Path) -> tuple[list[list[str]], list[list[str]]]:
+    """Copy the fixtures and write the random models and the scaffold
+    mutations under `root`; return the shared inputs and the mutation
+    inputs, each as file lists relative to `root`."""
     inputs: list[list[str]] = []
     (root / "fixtures" / "bad").mkdir(parents=True)
     groups = [paths for _, paths in good_fixture_groups()]
@@ -87,17 +95,27 @@ def write_inputs(root: Path) -> list[list[str]]:
         name = f"random/seed-{seed:03d}.sac.yaml"
         (root / name).write_text(serialize_model(random_model(seed)), encoding="utf-8")
         inputs.append([name])
-    return inputs
+    (root / "mutations").mkdir()
+    reference = scaffold_reference_model()
+    mutation_inputs = []
+    for i, mutation in enumerate(MUTATIONS):
+        name = f"mutations/{i:02d}-{mutation.rule}.sac.yaml"
+        (root / name).write_text(serialize_model(mutate(reference, mutation)),
+                                 encoding="utf-8")
+        mutation_inputs.append([name])
+    return inputs, mutation_inputs
 
 
-def digests(inputs: list[list[str]]) -> dict[str, tuple[str, int]]:
+def digests(inputs: list[list[str]], mutation_inputs: list[list[str]]
+            ) -> dict[str, tuple[str, int]]:
     """Command family -> (sha256 over every run, number of runs)."""
     runner = CliRunner()
     out = {}
     for family, variants in VARIANTS.items():
         sha = hashlib.sha256()
         runs = 0
-        for files in inputs:
+        extra = mutation_inputs if family in MUTATION_FAMILIES else []
+        for files in inputs + extra:
             for variant in variants:
                 argv = variant + files
                 result = runner.invoke(cli.main, argv)
@@ -178,7 +196,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            results = digests(write_inputs(Path(tmp)))
+            results = digests(*write_inputs(Path(tmp)))
             structure = structure_digest(Path(tmp))
         finally:
             os.chdir(cwd)

@@ -30,6 +30,9 @@ from gsnlint.model import (
     link_model,
 )
 from gsnlint.parser import load_model
+from gsnlint.report import render_dot
+from gsnlint.rules import evaluate, make_profile
+from gsnlint.trace import trace_registry
 from gsnlint.wellformed import check_wellformed
 from conftest import good_fixture_groups
 from genmodels import random_model
@@ -317,6 +320,32 @@ def _all_keys(data) -> set:
     if isinstance(data, list):
         return set().union(*(_all_keys(v) for v in data))
     return set()
+
+
+class TestHandBuiltIllFormed:
+    """A model built without link_model, so nothing rejects its dangling
+    supported_by references before the views, trace and render see them."""
+
+    def _model(self):
+        return GsnModel("ghost", modules=[GsnModule("a", [
+            goal("G1", argument_type=ArgumentType.PRODUCT, supported_by=("GHOST", "SN1"),
+                 traces={"H1"}),
+            goal("G2", argument_type=ArgumentType.PRODUCT, supported_by=("GHOST",),
+                 traces={"H1"}),
+            solution("SN1"),
+        ])], registries=Registries(hazards=[Hazard("H1", status=HazardStatus.MANAGED)]))
+
+    def test_views_trace_and_render_skip_the_missing_id(self):
+        model = self._model()
+        assert model.has_solution_descendant == {"G1": True, "G2": False, "SN1": False}
+        row, = trace_registry(model, "hazards").rows
+        assert (row.covering_elements, row.solution_backed) == (("G1", "G2"), True)
+        assert '"G1" -> "GHOST";' in render_dot(model)
+
+    def test_evaluate_reports_only_the_dangling_references(self):
+        findings = evaluate(self._model(), make_profile("core"))
+        assert [(f.rule, f.elements) for f in findings] == [
+            ("WF3", ("G1", "GHOST")), ("WF3", ("G2", "GHOST"))]
 
 
 class TestRecordWriter:

@@ -7,10 +7,15 @@ from gsnlint.findings import Severity
 from gsnlint.model import (
     AcpRelation,
     ArgumentType,
+    Artifact,
+    ArtifactRole,
     AssuranceClaimPoint,
     ElementKind,
     GsnElement,
     GsnModule,
+    RacLevel,
+    Registries,
+    RiskAcceptanceCriterion,
     RoleTag,
     link_model,
 )
@@ -92,6 +97,21 @@ def _only(rule: str) -> RuleProfile:
     return RuleProfile(rule, frozenset({rule}))
 
 
+def _goal(eid: str, argument_type=None, **kw) -> GsnElement:
+    return GsnElement(eid, ElementKind.GOAL, f"claim {eid}", argument_type=argument_type, **kw)
+
+
+def _solution(eid: str, **kw) -> GsnElement:
+    return GsnElement(eid, ElementKind.SOLUTION, f"evidence {eid}", **kw)
+
+
+def _pinned(rule: str, elements: list[GsnElement], **kw) -> list[tuple]:
+    """(severity, message, elements) of one rule's findings on a model."""
+    model = link_model(rule, modules=[GsnModule("m", elements)], **kw)
+    return [(f.severity, f.message, f.elements)
+            for f in check_requirements(model, _only(rule))]
+
+
 class TestRuleBranches:
     """Findings no fixture or mutation reaches, pinned exactly."""
 
@@ -136,6 +156,117 @@ class TestRuleBranches:
         assert [(f.severity, f.message, f.elements) for f in findings] == [
             (Severity.ERROR, "assurance claim points are used but the soundness argument "
              "gives no rationale for their placement", ())]
+
+    def test_r5_lacks_product_and_process(self):
+        assert _pinned("R5", [
+            _goal("G1", ArgumentType.RISK, supported_by=("SN1",)), _solution("SN1"),
+        ]) == [
+            (Severity.ERROR, "the risk argument lacks a process argument", ()),
+            (Severity.ERROR, "the risk argument lacks a product argument", ())]
+
+    def test_r5_product_and_process_outside_the_risk_argument(self):
+        # G6 and G7 hang below the soundness branch, so they and their
+        # solutions are product and process members outside the risk scope.
+        assert _pinned("R5", [
+            _goal("G1", supported_by=("G2", "G5")),
+            _goal("G2", ArgumentType.RISK, supported_by=("G3", "G4")),
+            _goal("G3", ArgumentType.PRODUCT, supported_by=("SN1",)), _solution("SN1"),
+            _goal("G4", ArgumentType.PROCESS, supported_by=("SN2",)), _solution("SN2"),
+            _goal("G5", ArgumentType.SOUNDNESS, supported_by=("G6", "G7")),
+            _goal("G6", ArgumentType.PRODUCT, supported_by=("SN3",)), _solution("SN3"),
+            _goal("G7", ArgumentType.PROCESS, supported_by=("SN4",)), _solution("SN4"),
+        ]) == [
+            (Severity.ERROR, "product argument is not contained in the risk argument",
+             ("G6", "SN3")),
+            (Severity.ERROR, "process argument is not contained in the risk argument",
+             ("G7", "SN4"))]
+
+    def test_r5_no_containment_finding_without_a_risk_argument(self):
+        assert _pinned("R5", [
+            _goal("G1", supported_by=("G2", "G3")),
+            _goal("G2", ArgumentType.PRODUCT, supported_by=("SN1",)), _solution("SN1"),
+            _goal("G3", ArgumentType.PROCESS, supported_by=("SN2",)), _solution("SN2"),
+        ]) == []
+
+    def test_r8_no_safety_culture(self):
+        assert _pinned("R8", [
+            _goal("G1", ArgumentType.PROCESS, supported_by=("SN1",)), _solution("SN1"),
+        ]) == [(Severity.ERROR, "the process argument does not address safety culture", ())]
+
+    def test_r8_safety_culture_without_solutions(self):
+        culture = {RoleTag.SAFETY_CULTURE}
+        assert _pinned("R8", [
+            _goal("G1", ArgumentType.PROCESS, supported_by=("G2", "G3", "SN1")),
+            _goal("G2", roles=culture, undeveloped=True),
+            _goal("G3", roles=culture, undeveloped=True),
+            _solution("SN1"),
+        ]) == [(Severity.ERROR, "safety-culture elements lack supporting solutions",
+                ("G2", "G3"))]
+
+    def test_r9_no_contextualization_argument(self):
+        assert _pinned("R9", [
+            _goal("G1", supported_by=("SN1",)), _solution("SN1"),
+        ]) == [(Severity.ERROR, "no contextualization argument: no element belongs to "
+                "the contextualization argument", ())]
+
+    def test_r9_dimensions_without_a_referenced_context_document(self):
+        # 'traffic' has a context document that the argument never
+        # references; 'weather' has none and is listed twice.
+        assert _pinned("R9", [
+            _goal("G1", ArgumentType.CONTEXTUALIZATION, supported_by=("SN1",),
+                  in_context_of=("C1",)),
+            _solution("SN1", artifacts={"A-EV"}),
+            GsnElement("C1", ElementKind.CONTEXT, "odd", artifacts={"A-ODD"}),
+        ], registries=Registries(context_dimensions=["odd", "weather", "traffic", "weather"]),
+            artifacts=[Artifact("A-EV", ArtifactRole.EVIDENCE),
+                       Artifact("A-ODD", ArtifactRole.CONTEXT_DOC, dimension="odd"),
+                       Artifact("A-TRF", ArtifactRole.CONTEXT_DOC, dimension="traffic")],
+        ) == [
+            (Severity.ERROR, f"context dimension '{dimension}' has no context document "
+             "referenced from the contextualization argument", ())
+            for dimension in ("traffic", "weather", "weather")]
+
+    def test_r10_no_soundness_argument(self):
+        assert _pinned("R10", [
+            _goal("G1", supported_by=("SN1",)), _solution("SN1"),
+        ]) == [(Severity.ERROR, "no soundness argument: no element belongs to the "
+                "soundness argument", ())]
+
+    def test_r10_no_uncertainty_method(self):
+        assert _pinned("R10", [
+            _goal("G1", ArgumentType.SOUNDNESS, supported_by=("SN1",)), _solution("SN1"),
+        ]) == [(Severity.ERROR, "the soundness argument does not argue over applied "
+                "uncertainty methods", ())]
+
+    def test_st1_conformance_and_compliance_outside_the_process_argument(self):
+        # G5 sits below the process argument; G3 and G4 do not.
+        assert _pinned("ST1", [
+            _goal("G1", supported_by=("G2", "G3", "G4")),
+            _goal("G2", ArgumentType.PROCESS, supported_by=("G5",)),
+            _goal("G5", ArgumentType.CONFORMANCE, supported_by=("SN4",)), _solution("SN4"),
+            _goal("G3", ArgumentType.CONFORMANCE, supported_by=("SN2",)), _solution("SN2"),
+            _goal("G4", ArgumentType.COMPLIANCE, supported_by=("SN3",)), _solution("SN3"),
+        ]) == [
+            (Severity.WARNING, "conformance argument is not subordinate to the process "
+             "argument", ("G3", "SN2")),
+            (Severity.WARNING, "compliance argument is not subordinate to the process "
+             "argument", ("G4", "SN3"))]
+
+    def test_d1_missing_level_untraced_criterion_and_partial_roles(self):
+        assert _pinned("D1", [
+            _goal("G1", ArgumentType.PRODUCT, supported_by=("G2", "G3")),
+            _goal("G2", roles={RoleTag.RAC_DEFINE}, traces={"RAC-1"}, supported_by=("SN1",)),
+            _goal("G3", roles={RoleTag.GLOBAL_RAC}, traces={"RAC-1"}, supported_by=("SN2",)),
+            _solution("SN1"), _solution("SN2"),
+        ], registries=Registries(risk_acceptance_criteria=[
+            RiskAcceptanceCriterion("RAC-1", RacLevel.GLOBAL),
+            RiskAcceptanceCriterion("RAC-2", RacLevel.GLOBAL)]),
+        ) == [
+            (Severity.ERROR, "no scenario risk acceptance criterion is defined", ()),
+            (Severity.ERROR, "risk acceptance criterion 'RAC-2' is not traced from the "
+             "product argument", ()),
+            (Severity.ERROR, "global risk acceptance criteria lack elements with roles: "
+             "rac_evaluate, rac_maintain", ("G2", "G3"))]
 
     def test_check_requirements_rejects_an_unknown_rule_id(self):
         profile = RuleProfile("custom", frozenset({"R1", "R99"}))
