@@ -146,19 +146,11 @@ def render_dot(model: GsnModel, by_argument_type_color: bool = False) -> str:
                 f"fillcolor=\"black\", width=0.12, label=\"\"];")
 
     for element in elements:
-        for target in element.supported_by:
-            node = acp_nodes.get((element.id, "supported_by", target))
-            if node:
-                lines.append(f"  {_quote(element.id)} -> {_quote(node)};")
-                lines.append(f"  {_quote(node)} -> {_quote(target)};")
-            else:
-                lines.append(f"  {_quote(element.id)} -> {_quote(target)};")
-        for target in element.in_context_of:
-            node = acp_nodes.get((element.id, "in_context_of", target))
-            if node:
-                lines.append(f"  {_quote(element.id)} -> {_quote(node)} [style=dashed];")
-                lines.append(f"  {_quote(node)} -> {_quote(target)} [style=dashed];")
-            else:
-                lines.append(f"  {_quote(element.id)} -> {_quote(target)} [style=dashed];")
+        for relation, style in (("supported_by", ""), ("in_context_of", " [style=dashed]")):
+            for target in getattr(element, relation):
+                node = acp_nodes.get((element.id, relation, target))
+                hops = (element.id, target) if node is None else (element.id, node, target)
+                for tail, head in zip(hops, hops[1:]):
+                    lines.append(f"  {_quote(tail)} -> {_quote(head)}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -212,12 +212,27 @@ def _role_members(model: GsnModel, subset: frozenset[str], role: RoleTag) -> lis
 def _missing_roles(model: GsnModel, rule: str, argument_type: ArgumentType,
                    checks: tuple[tuple[RoleTag, str], ...]) -> list[Finding]:
     """One Error per (role, message) whose role no member of a non-empty
-    argument carries; an empty argument is R5's finding, not this rule's."""
+    argument carries; an empty argument is R5's or R10's finding, not this one's."""
     subset = model.argument_subset(argument_type)
     if not subset:
         return []
     return [Finding(rule, Severity.ERROR, message) for role, message in checks
             if not _role_members(model, subset, role)]
+
+
+def _outside_scope(model: GsnModel, rule: str, severity: Severity, outer: ArgumentType,
+                   inner: tuple[ArgumentType, ...], message: str) -> list[Finding]:
+    """One finding per inner argument with members outside `outer`'s scope,
+    listing those members sorted; `message` follows "<inner> argument"."""
+    scopes = model.argument_scopes
+    findings = []
+    for argument_type in inner:
+        stray = sorted(e for e in model.argument_subset(argument_type)
+                       if outer not in scopes[e])
+        if stray:
+            findings.append(Finding(rule, severity, f"{argument_type.value} argument {message}",
+                                    tuple(stray)))
+    return findings
 
 
 def _vacuous(rule: str, registry_name: str) -> Finding:
@@ -315,24 +330,14 @@ def _rule_r4(model: GsnModel) -> list[Finding]:
 
 
 def _rule_r5(model: GsnModel) -> list[Finding]:
-    findings = []
-    risk = model.argument_subset(ArgumentType.RISK)
-    # An explicitly re-tagged element leaves the risk subset, so containment
-    # means sitting inside the risk argument's scope, not subset inclusion.
-    scopes = model.argument_scopes
-    for name, argument_type in (("product", ArgumentType.PRODUCT),
-                                ("process", ArgumentType.PROCESS)):
-        subset = model.argument_subset(argument_type)
-        if not subset:
-            findings.append(Finding(
-                "R5", Severity.ERROR, f"the risk argument lacks a {name} argument"))
-        elif risk:
-            stray = sorted(e for e in subset if ArgumentType.RISK not in scopes[e])
-            if stray:
-                findings.append(Finding(
-                    "R5", Severity.ERROR,
-                    f"{name} argument is not contained in the risk argument",
-                    tuple(stray)))
+    parts = (ArgumentType.PRODUCT, ArgumentType.PROCESS)
+    findings = [Finding("R5", Severity.ERROR, f"the risk argument lacks a {t.value} argument")
+                for t in parts if not model.argument_subset(t)]
+    if model.argument_subset(ArgumentType.RISK):
+        # An explicitly re-tagged element leaves the risk subset, so containment
+        # means sitting inside the risk argument's scope, not subset inclusion.
+        findings += _outside_scope(model, "R5", Severity.ERROR, ArgumentType.RISK, parts,
+                                   "is not contained in the risk argument")
     return findings
 
 
@@ -368,18 +373,15 @@ def _rule_r7(model: GsnModel) -> list[Finding]:
 
 
 def _rule_r8(model: GsnModel) -> list[Finding]:
-    process = model.argument_subset(ArgumentType.PROCESS)
-    if not process:
-        return []
-    members = _role_members(model, process, RoleTag.SAFETY_CULTURE)
-    if not members:
-        return [Finding("R8", Severity.ERROR,
-                        "the process argument does not address safety culture")]
-    if not any(model.has_solution_descendant[m] for m in members):
-        return [Finding("R8", Severity.ERROR,
-                        "safety-culture elements lack supporting solutions",
-                        tuple(members))]
-    return []
+    findings = _missing_roles(model, "R8", ArgumentType.PROCESS, (
+        (RoleTag.SAFETY_CULTURE, "the process argument does not address safety culture"),))
+    members = _role_members(model, model.argument_subset(ArgumentType.PROCESS),
+                            RoleTag.SAFETY_CULTURE)
+    if members and not any(model.has_solution_descendant[m] for m in members):
+        findings.append(Finding("R8", Severity.ERROR,
+                                "safety-culture elements lack supporting solutions",
+                                tuple(members)))
+    return findings
 
 
 def _rule_r9(model: GsnModel) -> list[Finding]:
@@ -390,21 +392,13 @@ def _rule_r9(model: GsnModel) -> list[Finding]:
     dimensions = model.registries.context_dimensions
     if not dimensions:
         return [_vacuous("R9", "context_dimensions")]
-    referenced = set()
-    for eid in subset:
-        referenced |= model.index[eid].artifacts
-    findings = []
-    for dimension in dimensions:
-        covered = any(
-            a.role is ArtifactRole.CONTEXT_DOC and a.dimension == dimension
-            and a.id in referenced
-            for a in model.artifacts)
-        if not covered:
-            findings.append(Finding(
-                "R9", Severity.ERROR,
-                f"context dimension '{dimension}' has no context document "
-                f"referenced from the contextualization argument"))
-    return findings
+    referenced = set().union(*(model.index[eid].artifacts for eid in subset))
+    documented = {a.dimension for a in model.artifacts
+                  if a.role is ArtifactRole.CONTEXT_DOC and a.id in referenced}
+    return [Finding("R9", Severity.ERROR,
+                    f"context dimension '{dimension}' has no context document "
+                    f"referenced from the contextualization argument")
+            for dimension in dimensions if dimension not in documented]
 
 
 def _rule_r10(model: GsnModel) -> list[Finding]:
@@ -412,69 +406,46 @@ def _rule_r10(model: GsnModel) -> list[Finding]:
     if not subset:
         return [Finding("R10", Severity.ERROR, "no soundness argument: no element "
                         "belongs to the soundness argument")]
-    findings = []
-    if not _role_members(model, subset, RoleTag.UNCERTAINTY_METHOD):
-        findings.append(Finding(
-            "R10", Severity.ERROR,
-            "the soundness argument does not argue over applied uncertainty methods"))
-    uses_acps = any(e.acps for e in model.iter_elements())
-    if uses_acps and not _role_members(model, subset, RoleTag.ACP_RATIONALE):
-        findings.append(Finding(
-            "R10", Severity.ERROR,
-            "assurance claim points are used but the soundness argument gives no "
-            "rationale for their placement"))
-    return findings
+    checks = ((RoleTag.UNCERTAINTY_METHOD,
+               "the soundness argument does not argue over applied uncertainty methods"),)
+    if any(e.acps for e in model.iter_elements()):
+        checks += ((RoleTag.ACP_RATIONALE, "assurance claim points are used but the "
+                    "soundness argument gives no rationale for their placement"),)
+    return _missing_roles(model, "R10", ArgumentType.SOUNDNESS, checks)
 
 
 def _rule_st1(model: GsnModel) -> list[Finding]:
-    scopes = model.argument_scopes
-    findings = []
-    for name, argument_type in (("conformance", ArgumentType.CONFORMANCE),
-                                ("compliance", ArgumentType.COMPLIANCE)):
-        subset = model.argument_subset(argument_type)
-        stray = sorted(e for e in subset if ArgumentType.PROCESS not in scopes[e])
-        if subset and stray:
-            findings.append(Finding(
-                "ST1", Severity.WARNING,
-                f"{name} argument is not subordinate to the process argument",
-                tuple(stray)))
-    return findings
+    return _outside_scope(model, "ST1", Severity.WARNING, ArgumentType.PROCESS,
+                          (ArgumentType.CONFORMANCE, ArgumentType.COMPLIANCE),
+                          "is not subordinate to the process argument")
 
 
 def _rule_d1(model: GsnModel) -> list[Finding]:
     matrix = trace_registry(model, "risk_acceptance_criteria")
     if matrix.vacuous:
         return [_vacuous("D1", "risk_acceptance_criteria")]
+    rows = list(zip(model.registries.risk_acceptance_criteria, matrix.rows))
+    rac_roles = (RoleTag.RAC_DEFINE, RoleTag.RAC_EVALUATE, RoleTag.RAC_MAINTAIN)
     findings = []
-    by_level: dict[RacLevel, list] = {level: [] for level in RacLevel}
-    for criterion, row in zip(model.registries.risk_acceptance_criteria, matrix.rows):
-        by_level[criterion.level].append(row)
     for level in RacLevel:
-        if not by_level[level]:
+        level_rows = [row for criterion, row in rows if criterion.level == level]
+        if not level_rows:
             findings.append(Finding(
                 "D1", Severity.ERROR,
                 f"no {level.value} risk acceptance criterion is defined"))
-    rac_roles = (RoleTag.RAC_DEFINE, RoleTag.RAC_EVALUATE, RoleTag.RAC_MAINTAIN)
-    for level in RacLevel:
-        if not by_level[level]:
             continue
-        level_tracers: set[str] = set()
-        for row in by_level[level]:
-            if not row.covered:
-                findings.append(Finding(
-                    "D1", Severity.ERROR,
-                    f"risk acceptance criterion '{row.item_id}' is not traced from the "
-                    f"product argument"))
-            level_tracers.update(row.covering_elements)
-        covered = set()
-        for eid in level_tracers:
-            covered |= set(model.index[eid].roles) & set(rac_roles)
-        missing = [r.value for r in rac_roles if r not in covered]
+        findings += [Finding("D1", Severity.ERROR,
+                             f"risk acceptance criterion '{row.item_id}' is not traced "
+                             f"from the product argument")
+                     for row in level_rows if not row.covered]
+        tracers = sorted({eid for row in level_rows for eid in row.covering_elements})
+        roles = set().union(*(model.index[eid].roles for eid in tracers))
+        missing = [r.value for r in rac_roles if r not in roles]
         if missing:
             findings.append(Finding(
                 "D1", Severity.ERROR,
                 f"{level.value} risk acceptance criteria lack elements with "
-                f"roles: {', '.join(missing)}", tuple(sorted(level_tracers))))
+                f"roles: {', '.join(missing)}", tuple(tracers)))
     return findings
 
 
