@@ -63,9 +63,6 @@ PROFILES = ("core", "instantiation", "gsn-wf", "all")
 REGISTRIES = ("hazards", "normative_requirements", "regulatory_requirements",
               "risk_acceptance_criteria")
 
-#: Command families that also run over the scaffold mutation corpus.
-MUTATION_FAMILIES = ("check",)
-
 #: Command family -> option variants; each variant runs once per input.
 VARIANTS: dict[str, list[list[str]]] = {
     "check": [["check", "--profile", profile, "--format", fmt]
@@ -114,8 +111,7 @@ def digests(inputs: list[list[str]], mutation_inputs: list[list[str]]
     for family, variants in VARIANTS.items():
         sha = hashlib.sha256()
         runs = 0
-        extra = mutation_inputs if family in MUTATION_FAMILIES else []
-        for files in inputs + extra:
+        for files in inputs + (mutation_inputs if family == "check" else []):
             for variant in variants:
                 argv = variant + files
                 result = runner.invoke(cli.main, argv)
