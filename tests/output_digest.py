@@ -1,23 +1,23 @@
 """Digest of the CLI's observable output, for byte-identity checks.
 
-Runs `check`, `trace` and `render` under fixed option variants over every
-good and bad fixture and `random_model` seeds 0-99 (and `check` also over
-the scaffold mutation corpus, `mutations.MUTATIONS` each applied to
-`scaffold_reference_model()`, so every rule's own finding is hashed), in
-process through
-click's CliRunner, and prints one sha256 per command family over each
-run's (argv, exit code, stdout, stderr).  Inputs are copied into a
-temporary directory and named by relative paths, so the digest does not
-depend on where the checkout lives.  A `views` line hashes the library's
-graph views (argument types and subsets, solution backing, root goals,
-`reachable_from` of each argument subset and `descendants` of each
-element) on every good fixture and the same random models; all of them are
-acyclic, so each view has one right answer, and ids are sorted so the
-digest does not depend on traversal order.  A `serialize` line hashes the
-YAML writer's three outputs (`serialize_model` with and without
-registries, `serialize_registries`) on every good fixture, the same random
-models, `big_model(2000, 1000)`, scaffold models with and without samples
-over several context-dimension counts and top claims, and
+Runs `check`, `trace` and `render` under fixed option variants (`check`
+also with severity overrides) over every good and bad fixture and
+`random_model` seeds 0-99 (and `check` also over the scaffold mutation
+corpus, `mutations.MUTATIONS` each applied to `scaffold_reference_model()`,
+so every rule's own finding is hashed), in process through click's
+CliRunner, and prints one sha256 per command family over each run's (argv,
+exit code, stdout, stderr).  Inputs are copied into a temporary directory
+and named by relative paths, so the digest does not depend on where the
+checkout lives.  A `views` line hashes the library's graph views (argument
+types and subsets, solution backing, root goals, `reachable_from` of each
+argument subset, `descendants` of each element, `argument_scopes`,
+`role_members` and `item_tracers`) on every good fixture and the same
+random models; all of them are acyclic, so each view has one right answer,
+and ids are sorted so the digest does not depend on traversal order.  A
+`serialize` line hashes the YAML writer's three outputs (`serialize_model`
+with and without registries, `serialize_registries`) on every good fixture,
+the same random models, `big_model(2000, 1000)`, scaffold models with and
+without samples over several context-dimension counts and top claims, and
 `genmodels.string_model` over every string in `FALLBACK_STRINGS` and
 `EDGE_STRINGS`, so both of the writer's emitter paths are covered.  A
 `structure` line hashes the structural guards' verdicts on
@@ -63,11 +63,16 @@ PROFILES = ("core", "instantiation", "gsn-wf", "all")
 REGISTRIES = ("hazards", "normative_requirements", "regulatory_requirements",
               "risk_acceptance_criteria")
 
+#: Severity overrides: a WF Warning promoted to Error (which must not gate the
+#: requirement rules), one Error rule demoted and one Info rule promoted.
+_OVERRIDES = ("--severity", "WF7=error", "--severity", "R2=info", "--severity", "TL1=error")
+
 #: Command family -> option variants; each variant runs once per input.
 VARIANTS: dict[str, list[list[str]]] = {
     "check": [["check", "--profile", profile, "--format", fmt]
               for profile in PROFILES for fmt in ("text", "json")]
-             + [["check", "--strict-warnings"], ["check", "--lenient"]],
+             + [["check", "--strict-warnings"], ["check", "--lenient"]]
+             + [["check", *_OVERRIDES, "--format", fmt] for fmt in ("text", "json")],
     "trace": [["trace", registry, "--format", fmt]
               for registry in REGISTRIES for fmt in ("csv", "json")],
     "render": [["render"], ["render", "--color-by-type"]],
@@ -143,6 +148,11 @@ def views_digest() -> tuple[str, int]:
             "reachable_from": {t.value: sorted(model.reachable_from(ids))
                                for t, ids in subsets.items()},
             "descendants": {eid: sorted(model.descendants(eid)) for eid in model.index},
+            "argument_scopes": {eid: sorted(t.value for t in types)
+                                for eid, types in model.argument_scopes.items()},
+            "role_members": {role.value: sorted(ids)
+                             for role, ids in model.role_members.items()},
+            "item_tracers": {item: sorted(ids) for item, ids in model.item_tracers.items()},
         }
         sha.update(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
     return sha.hexdigest(), len(models)

@@ -507,12 +507,14 @@ class TestNeverRaises:
 
 
 class TestExitCodes:
-    """`check`'s exit code, end to end: never 3, 2 exactly when
-    `parse_model` returns no model, otherwise 1 exactly when a reported
-    finding is an Error, or a Warning under --strict-warnings."""
+    """Exit codes, end to end: never 3, 2 exactly when `parse_model` returns
+    no model; otherwise `check` exits 1 exactly when a reported finding is
+    an Error, or a Warning under --strict-warnings, and `trace` and `render`
+    on the same file exit 0."""
 
     @staticmethod
-    def check(document, strict: bool) -> None:
+    def check(document, strict: bool, registry: str, trace_format: str,
+              color: bool) -> None:
         text = yaml.safe_dump(document, sort_keys=False)
         model, _ = parse_model([("case.sac.yaml", text)])
         runner = CliRunner()
@@ -520,6 +522,13 @@ class TestExitCodes:
             Path("case.sac.yaml").write_text(text, encoding="utf-8")
             argv = ["check", "--format", "json", "case.sac.yaml"]
             result = runner.invoke(main, argv + ["--strict-warnings"] * strict)
+            others = [
+                runner.invoke(main, ["trace", registry, "--format", trace_format,
+                                     "case.sac.yaml"]),
+                runner.invoke(main, ["render", "case.sac.yaml"] + ["--color-by-type"] * color),
+            ]
+        for other in others:
+            assert other.exit_code == (2 if model is None else 0), other.output
         assert result.exit_code != 3, result.output
         if model is None:
             assert result.exit_code == 2, result.output
@@ -530,14 +539,20 @@ class TestExitCodes:
 
     @_CLI_SETTINGS
     @given(elements=element_lists(), split=st.integers(0, 10),
-           with_registries=st.booleans(), strict=st.booleans())
-    def test_random_element_graphs(self, elements, split, with_registries, strict):
-        self.check(_document(elements, split, with_registries), strict)
+           with_registries=st.booleans(), strict=st.booleans(),
+           registry=st.sampled_from(sorted(_REGISTRIES)),
+           trace_format=st.sampled_from(["csv", "json"]), color=st.booleans())
+    def test_random_element_graphs(self, elements, split, with_registries, strict,
+                                   registry, trace_format, color):
+        self.check(_document(elements, split, with_registries), strict,
+                   registry, trace_format, color)
 
     @_CLI_SETTINGS
-    @given(document=_YAML_DATA, strict=st.booleans())
-    def test_random_yaml_trees(self, document, strict):
-        self.check(document, strict)
+    @given(document=_YAML_DATA, strict=st.booleans(),
+           registry=st.sampled_from(sorted(_REGISTRIES)),
+           trace_format=st.sampled_from(["csv", "json"]), color=st.booleans())
+    def test_random_yaml_trees(self, document, strict, registry, trace_format, color):
+        self.check(document, strict, registry, trace_format, color)
 
 
 # -- deep chains -----------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from click.testing import CliRunner
 
 from gsnlint.cli import main
 from gsnlint.findings import Severity
@@ -323,6 +324,15 @@ class TestSeverityOverrides:
         profile = make_profile("all", severity_overrides={"TL1": Severity.ERROR})
         findings = evaluate(base, profile)
         assert "TL1" in _errors(findings)
+
+    def test_demoted_wf_error_still_skips_requirements(self):
+        # The WF gate reads each rule's own severity, before overrides.
+        result = CliRunner().invoke(main, [
+            "check", "--severity", "WF5=warning",
+            str(FIXTURES / "14-wf5-solution-context.sac.yaml")])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == ("WARNING WF5 SN1 solution 'SN1' must be a leaf\n"
+                                 "0 errors, 1 warnings\n")
 
 
 class TestIllFormedInput:
