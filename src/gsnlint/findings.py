@@ -29,13 +29,6 @@ def sort_findings(findings: list[Finding]) -> list[Finding]:
     return sorted(findings, key=lambda f: (f.rule, f.elements, f.message))
 
 
-def count_by_severity(findings: list[Finding]) -> dict[Severity, int]:
-    counts = {s: 0 for s in Severity}
-    for finding in findings:
-        counts[finding.severity] += 1
-    return counts
-
-
 @dataclass
 class ParseDiagnostic:
     severity: Severity

@@ -10,9 +10,10 @@ filled squares.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .findings import Finding, Severity, count_by_severity
+from .findings import Finding, Severity
 from .model import ArgumentType, ElementKind, GsnModel
 from .trace import TraceMatrix, matrix_to_dict
 
@@ -51,7 +52,7 @@ class ReportBundle:
 
     @property
     def summary(self) -> dict:
-        counts = count_by_severity(self.findings)
+        counts = Counter(f.severity for f in self.findings)
         return {
             "errors": counts[Severity.ERROR],
             "warnings": counts[Severity.WARNING],

@@ -492,25 +492,17 @@ _RULE_FUNCTIONS: dict[str, Callable[[GsnModel], list[Finding]]] = {
 }
 
 
-def _apply_overrides(findings: list[Finding], profile: RuleProfile) -> list[Finding]:
-    if not profile.severity_overrides:
-        return findings
-    out = []
-    for finding in findings:
-        override = profile.severity_overrides.get(finding.rule)
-        out.append(replace(finding, severity=override) if override else finding)
-    return out
+def _requirement_findings(model: GsnModel, profile: RuleProfile) -> list[Finding]:
+    """The one rule loop: the findings of the profile's requirement rules."""
+    return [finding for rule, fn in _RULE_FUNCTIONS.items()
+            if rule in profile.enabled_rules for finding in fn(model)]
 
 
-def _run_rules(model: GsnModel, profile: RuleProfile, findings: list[Finding],
-               requirements: bool = True) -> list[Finding]:
-    """The one rule loop: add the profile's requirement rules to `findings`
-    (unless `requirements` is off), apply severity overrides, and sort."""
-    if requirements:
-        for rule, fn in _RULE_FUNCTIONS.items():
-            if rule in profile.enabled_rules:
-                findings.extend(fn(model))
-    return sort_findings(_apply_overrides(findings, profile))
+def _finish(findings: list[Finding], profile: RuleProfile) -> list[Finding]:
+    """Apply the profile's severity overrides, then sort."""
+    overrides = profile.severity_overrides or {}
+    return sort_findings([replace(f, severity=s) if (s := overrides.get(f.rule)) else f
+                          for f in findings])
 
 
 def check_requirements(model: GsnModel, profile: RuleProfile) -> list[Finding]:
@@ -524,7 +516,7 @@ def check_requirements(model: GsnModel, profile: RuleProfile) -> list[Finding]:
     for rule in profile.enabled_rules:
         if rule not in CATALOG:
             raise UnknownRuleError(f"unknown rule id '{rule}'")
-    return _run_rules(model, profile, [])
+    return _finish(_requirement_findings(model, profile), profile)
 
 
 def evaluate(model: GsnModel, profile: RuleProfile) -> list[Finding]:
@@ -534,9 +526,10 @@ def evaluate(model: GsnModel, profile: RuleProfile) -> list[Finding]:
     well-formedness findings are the result in that case.
     """
     wf = check_wellformed(model)
-    ill_formed = any(f.severity is Severity.ERROR for f in wf)
     # Requirement rules are meaningless on an ill-formed model; surface
     # the blocking errors even when the profile excludes WF rules.
     findings = [f for f in wf
                 if f.rule in profile.enabled_rules or f.severity is Severity.ERROR]
-    return _run_rules(model, profile, findings, requirements=not ill_formed)
+    if not any(f.severity is Severity.ERROR for f in wf):
+        findings += _requirement_findings(model, profile)
+    return _finish(findings, profile)

@@ -80,17 +80,21 @@ class _Builder:
         kwargs.setdefault("supported_by", (solution.id,))
         return self.goal(eid, text, **kwargs)
 
-    def confidence_goal(self, suffix: str) -> GsnElement:
-        return self.backed_goal(
-            f"G-CNF-{suffix}",
-            f"PLACEHOLDER: the assertion at {suffix} can be trusted",
-            argument_type=ArgumentType.CONFIDENCE)
-
-    def acp(self, strategy_id: str, suffix: str) -> tuple:
-        """Confidence goal plus the claim point for one strategy edge."""
-        goal = self.confidence_goal(suffix)
-        point = AssuranceClaimPoint(strategy_id, AcpRelation.SUPPORTED_BY, goal.id)
-        return goal, point
+    def argument(self, goal_id: str, goal_text: str, strategy_id: str, strategy_text: str,
+                 children, acp: str = "", **goal_kwargs) -> GsnElement:
+        """Goal argued over `children` by one strategy; with `acp`, an
+        assurance claim point on the strategy edge links the backed
+        confidence goal ``G-CNF-<acp>``, which also supports the goal."""
+        self.strategy(strategy_id, strategy_text, supported_by=tuple(children))
+        supported_by = (strategy_id,)
+        if acp:
+            confidence = self.backed_goal(
+                f"G-CNF-{acp}", f"PLACEHOLDER: the assertion at {acp} can be trusted",
+                argument_type=ArgumentType.CONFIDENCE)
+            supported_by += (confidence.id,)
+            goal_kwargs["acps"] = (AssuranceClaimPoint(
+                strategy_id, AcpRelation.SUPPORTED_BY, confidence.id),)
+        return self.goal(goal_id, goal_text, supported_by=supported_by, **goal_kwargs)
 
 
 def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
@@ -100,7 +104,6 @@ def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
 
     # Contextualization branch: one goal per declared context dimension,
     # each contextualized by a dimension-tagged context document.
-    dim_goals = []
     for dim in opts.context_dimensions:
         title = dim.replace("_", " ")
         doc = Artifact(f"A-CTX-{dim}", ArtifactRole.CONTEXT_DOC,
@@ -110,15 +113,14 @@ def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
         b.add(GsnElement(f"C-{dim}", ElementKind.CONTEXT,
                          f"PLACEHOLDER: {title} documentation",
                          artifacts=frozenset({doc.id})))
-        dim_goals.append(b.backed_goal(
-            f"G-CTX-{dim}",
-            f"PLACEHOLDER: the {title} establishes adequate context",
-            in_context_of=(f"C-{dim}",)))
-    b.strategy("S-CTX", "PLACEHOLDER: argue over each declared context dimension",
-               supported_by=tuple(g.id for g in dim_goals))
-    b.goal("G-CTX", "PLACEHOLDER: the argumentation is sufficiently "
-           "contextualized for external stakeholders",
-           argument_type=ArgumentType.CONTEXTUALIZATION, supported_by=("S-CTX",))
+        b.backed_goal(f"G-CTX-{dim}",
+                      f"PLACEHOLDER: the {title} establishes adequate context",
+                      in_context_of=(f"C-{dim}",))
+    b.argument("G-CTX", "PLACEHOLDER: the argumentation is sufficiently "
+               "contextualized for external stakeholders",
+               "S-CTX", "PLACEHOLDER: argue over each declared context dimension",
+               [f"G-CTX-{dim}" for dim in opts.context_dimensions],
+               argument_type=ArgumentType.CONTEXTUALIZATION)
 
     # Soundness branch.
     b.backed_goal("G-SND-UNC",
@@ -129,39 +131,32 @@ def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
                   "PLACEHOLDER: assurance claim points are placed and aggregated "
                   "purposefully",
                   roles={RoleTag.ACP_RATIONALE})
-    b.strategy("S-SND", "PLACEHOLDER: argue over the methods applied to keep "
-               "the argumentation sound", supported_by=("G-SND-UNC", "G-SND-ACP"))
-    b.goal("G-SND", "PLACEHOLDER: the argumentation is sound",
-           argument_type=ArgumentType.SOUNDNESS, supported_by=("S-SND",))
+    b.argument("G-SND", "PLACEHOLDER: the argumentation is sound",
+               "S-SND", "PLACEHOLDER: argue over the methods applied to keep "
+               "the argumentation sound", ("G-SND-UNC", "G-SND-ACP"),
+               argument_type=ArgumentType.SOUNDNESS)
 
     # Product branch.
-    rac_strand_goals = {}
-    for level, trace_id in ((RacLevel.GLOBAL, "RAC-GLOBAL-1"),
-                            (RacLevel.SCENARIO, "RAC-SCENARIO-1")):
+    verbs = (("DEFINE", RoleTag.RAC_DEFINE), ("EVALUATE", RoleTag.RAC_EVALUATE),
+             ("MAINTAIN", RoleTag.RAC_MAINTAIN))
+    for level, trace_id, level_role in (
+            (RacLevel.GLOBAL, "RAC-GLOBAL-1", RoleTag.GLOBAL_RAC),
+            (RacLevel.SCENARIO, "RAC-SCENARIO-1", RoleTag.SCENARIO_RAC)):
         tag = level.value.upper()
         traces = frozenset({trace_id}) if samples else frozenset()
-        for verb, role in (("DEFINE", RoleTag.RAC_DEFINE),
-                           ("EVALUATE", RoleTag.RAC_EVALUATE),
-                           ("MAINTAIN", RoleTag.RAC_MAINTAIN)):
+        for verb, role in verbs:
             b.backed_goal(
                 f"G-RAC-{tag}-{verb}",
                 f"PLACEHOLDER: {level.value} risk acceptance criteria are "
                 f"{verb.lower()}d appropriately",
                 roles={role}, traces=traces)
-        strategy = b.strategy(
-            f"S-RAC-{tag}",
-            f"PLACEHOLDER: argue that {level.value} criteria are defined, "
-            f"evaluated, and maintained",
-            supported_by=tuple(f"G-RAC-{tag}-{verb}"
-                               for verb in ("DEFINE", "EVALUATE", "MAINTAIN")))
-        cnf_goal, point = b.acp(strategy.id, f"RAC-{tag}")
-        level_role = (RoleTag.GLOBAL_RAC if level is RacLevel.GLOBAL
-                      else RoleTag.SCENARIO_RAC)
-        rac_strand_goals[level] = b.goal(
-            f"G-RAC-{tag}",
-            f"PLACEHOLDER: {level.value} risk acceptance criteria are fulfilled",
-            roles={level_role}, supported_by=(strategy.id, cnf_goal.id),
-            acps=(point,))
+        b.argument(f"G-RAC-{tag}",
+                   f"PLACEHOLDER: {level.value} risk acceptance criteria are fulfilled",
+                   f"S-RAC-{tag}",
+                   f"PLACEHOLDER: argue that {level.value} criteria are defined, "
+                   f"evaluated, and maintained",
+                   [f"G-RAC-{tag}-{verb}" for verb, _ in verbs],
+                   acp=f"RAC-{tag}", roles={level_role})
 
     b.backed_goal("G-SCEN-KNOWN",
                   "PLACEHOLDER: residual risk in known scenarios is sufficiently "
@@ -174,15 +169,13 @@ def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
                   "sufficiently mitigated",
                   roles={RoleTag.HAZARD_MANAGEMENT},
                   traces=frozenset({"H-SAMPLE-1"}) if samples else frozenset())
-    b.strategy("S-PROD", "PLACEHOLDER: argue over acceptance criteria and "
+    b.argument("G-PROD", "PLACEHOLDER: the vehicle does not pose unreasonable risk "
+               "when operating in its operational design domain",
+               "S-PROD", "PLACEHOLDER: argue over acceptance criteria and "
                "scenario-based risk reduction",
-               supported_by=("G-RAC-GLOBAL", "G-RAC-SCENARIO", "G-SCEN-KNOWN",
-                             "G-SCEN-UNKNOWN", "G-HAZ"))
-    cnf_prod, acp_prod = b.acp("S-PROD", "PROD")
-    b.goal("G-PROD", "PLACEHOLDER: the vehicle does not pose unreasonable risk "
-           "when operating in its operational design domain",
-           argument_type=ArgumentType.PRODUCT,
-           supported_by=("S-PROD", cnf_prod.id), acps=(acp_prod,))
+               ("G-RAC-GLOBAL", "G-RAC-SCENARIO", "G-SCEN-KNOWN",
+                "G-SCEN-UNKNOWN", "G-HAZ"),
+               acp="PROD", argument_type=ArgumentType.PRODUCT)
 
     # Process branch, with conformance and compliance subordinated to it.
     b.backed_goal("G-CULTURE",
@@ -205,27 +198,21 @@ def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
                   "regulatory requirements",
                   argument_type=ArgumentType.COMPLIANCE,
                   traces=frozenset({"RR-SAMPLE-1"}) if samples else frozenset())
-    b.strategy("S-PROC", "PLACEHOLDER: argue over organizational culture, "
+    b.argument("G-PROC", "PLACEHOLDER: the organization is capable of developing "
+               "and operating the system safely",
+               "S-PROC", "PLACEHOLDER: argue over organizational culture, "
                "lifecycle processes, and their conformance and compliance",
-               supported_by=("G-CULTURE", "G-LC-OP", "G-LC-MAINT",
-                             "G-CFM", "G-CPL"))
-    cnf_proc, acp_proc = b.acp("S-PROC", "PROC")
-    b.goal("G-PROC", "PLACEHOLDER: the organization is capable of developing "
-           "and operating the system safely",
-           argument_type=ArgumentType.PROCESS,
-           supported_by=("S-PROC", cnf_proc.id), acps=(acp_proc,))
+               ("G-CULTURE", "G-LC-OP", "G-LC-MAINT", "G-CFM", "G-CPL"),
+               acp="PROC", argument_type=ArgumentType.PROCESS)
 
     # Risk branch joining product and process, then the root.
-    b.strategy("S-RISK", "PLACEHOLDER: argue over the product and the process "
-               "behind it", supported_by=("G-PROD", "G-PROC"))
-    cnf_risk, acp_risk = b.acp("S-RISK", "RISK")
-    b.goal("G-RISK", "PLACEHOLDER: residual risk is reduced to a reasonable level",
-           argument_type=ArgumentType.RISK,
-           supported_by=("S-RISK", cnf_risk.id), acps=(acp_risk,))
-    b.strategy("S-TOP", "PLACEHOLDER: argue over the argumentation context, "
-               "its soundness, and residual risk",
-               supported_by=("G-CTX", "G-SND", "G-RISK"))
-    b.goal("G-TOP", opts.top_claim_text, supported_by=("S-TOP",))
+    b.argument("G-RISK", "PLACEHOLDER: residual risk is reduced to a reasonable level",
+               "S-RISK", "PLACEHOLDER: argue over the product and the process "
+               "behind it", ("G-PROD", "G-PROC"),
+               acp="RISK", argument_type=ArgumentType.RISK)
+    b.argument("G-TOP", opts.top_claim_text,
+               "S-TOP", "PLACEHOLDER: argue over the argumentation context, "
+               "its soundness, and residual risk", ("G-CTX", "G-SND", "G-RISK"))
 
     registries = Registries(context_dimensions=list(opts.context_dimensions))
     if samples:
