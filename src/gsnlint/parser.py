@@ -20,10 +20,11 @@ and its second value is not read, unless its `_Key` appends (module
 elements, registry lists, context dimensions).  An artifact id, or an item
 id within one registry, that an earlier entry of any document already
 had is an Error `duplicate-id` at the repeated entry.  Each collection's
-entries are detached from its node when it is read, so the node tree is
-freed while the model grows; a collection that a YAML alias brings back
-is then an Error `alias` at the collection itself, since libyaml keeps no
-position for the alias.
+entries are detached from its node when it is read, and each sequence
+entry leaves its list before it is read, so the node tree is freed while
+the model grows; a collection that a YAML alias brings back is then an
+Error `alias` at the collection itself, since libyaml keeps no position
+for the alias.
 """
 
 from __future__ import annotations
@@ -165,8 +166,10 @@ class _DocParser:
                 entry_where: Optional[str] = None) -> list:
         """Read every entry of a sequence; entries that do not read are skipped."""
         entry_where = entry_where or f"entry of {where}"
+        entries = self.sequence(node, where) or ()
         out = []
-        for entry in self.sequence(node, where) or ():
+        for i, entry in enumerate(entries):
+            entries[i] = None  # lower peak RSS: the model reuses each freed entry
             value = read(self, entry, entry_where)
             if value is not None:
                 out.append(value)

@@ -61,9 +61,6 @@ class _Builder:
     def goal(self, eid: str, text: str, **kwargs) -> GsnElement:
         return self.add(GsnElement(eid, ElementKind.GOAL, text, **kwargs))
 
-    def strategy(self, eid: str, text: str, **kwargs) -> GsnElement:
-        return self.add(GsnElement(eid, ElementKind.STRATEGY, text, **kwargs))
-
     def solution(self, eid: str, text: str) -> GsnElement:
         artifact_id = f"A-EV-{eid.removeprefix('SN-')}"
         self.artifacts.append(Artifact(
@@ -81,11 +78,12 @@ class _Builder:
         return self.goal(eid, text, **kwargs)
 
     def argument(self, goal_id: str, goal_text: str, strategy_id: str, strategy_text: str,
-                 children, acp: str = "", **goal_kwargs) -> GsnElement:
+                 children, acp: str = "", **goal_kwargs) -> None:
         """Goal argued over `children` by one strategy; with `acp`, an
         assurance claim point on the strategy edge links the backed
         confidence goal ``G-CNF-<acp>``, which also supports the goal."""
-        self.strategy(strategy_id, strategy_text, supported_by=tuple(children))
+        self.add(GsnElement(strategy_id, ElementKind.STRATEGY, strategy_text,
+                            supported_by=tuple(children)))
         supported_by = (strategy_id,)
         if acp:
             confidence = self.backed_goal(
@@ -94,7 +92,7 @@ class _Builder:
             supported_by += (confidence.id,)
             goal_kwargs["acps"] = (AssuranceClaimPoint(
                 strategy_id, AcpRelation.SUPPORTED_BY, confidence.id),)
-        return self.goal(goal_id, goal_text, supported_by=supported_by, **goal_kwargs)
+        self.goal(goal_id, goal_text, supported_by=supported_by, **goal_kwargs)
 
 
 def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
