@@ -512,6 +512,10 @@ class TestExitCodes:
     an Error, or a Warning under --strict-warnings, and `trace` and `render`
     on the same file exit 0."""
 
+    #: How `trace` and `render` run on each example.
+    _OTHERS = dict(registry=st.sampled_from(sorted(_REGISTRIES)),
+                   trace_format=st.sampled_from(["csv", "json"]), color=st.booleans())
+
     @staticmethod
     def check(document, strict: bool, registry: str, trace_format: str,
               color: bool) -> None:
@@ -539,18 +543,14 @@ class TestExitCodes:
 
     @_CLI_SETTINGS
     @given(elements=element_lists(), split=st.integers(0, 10),
-           with_registries=st.booleans(), strict=st.booleans(),
-           registry=st.sampled_from(sorted(_REGISTRIES)),
-           trace_format=st.sampled_from(["csv", "json"]), color=st.booleans())
+           with_registries=st.booleans(), strict=st.booleans(), **_OTHERS)
     def test_random_element_graphs(self, elements, split, with_registries, strict,
                                    registry, trace_format, color):
         self.check(_document(elements, split, with_registries), strict,
                    registry, trace_format, color)
 
     @_CLI_SETTINGS
-    @given(document=_YAML_DATA, strict=st.booleans(),
-           registry=st.sampled_from(sorted(_REGISTRIES)),
-           trace_format=st.sampled_from(["csv", "json"]), color=st.booleans())
+    @given(document=_YAML_DATA, strict=st.booleans(), **_OTHERS)
     def test_random_yaml_trees(self, document, strict, registry, trace_format, color):
         self.check(document, strict, registry, trace_format, color)
 
