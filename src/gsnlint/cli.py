@@ -32,11 +32,12 @@ from .trace import (
 def _parse_severity_overrides(pairs: tuple[str, ...]) -> dict[str, Severity]:
     overrides: dict[str, Severity] = {}
     for pair in pairs:
-        rule, sep, level = pair.partition("=")
-        if not sep or level not in [s.value for s in Severity]:
+        rule, _, level = pair.partition("=")
+        try:
+            overrides[rule] = Severity(level)  # no "=" leaves level "", no Severity either
+        except ValueError:
             raise click.UsageError(
-                f"--severity expects RULE=error|warning|info, got '{pair}'")
-        overrides[rule] = Severity(level)
+                f"--severity expects RULE=error|warning|info, got '{pair}'") from None
     return overrides
 
 
@@ -92,12 +93,12 @@ def main() -> None:
               help="Override a rule's severity (repeatable).")
 def check(paths, profile, fmt, lenient, strict_warnings, severity_pairs) -> None:
     """Run the full rule pipeline on an argumentation model."""
-    model = _load_or_exit(paths, lenient)
     try:
         rule_profile = rules_mod.make_profile(
             profile, _parse_severity_overrides(severity_pairs))
     except rules_mod.UnknownRuleError as exc:
         raise click.UsageError(str(exc))
+    model = _load_or_exit(paths, lenient)
     findings = rules_mod.evaluate(model, rule_profile)
     bundle = ReportBundle(
         model_id=model.id,

@@ -112,22 +112,14 @@ class _DocParser:
 
     # -- node coercion ------------------------------------------------
 
-    def mapping(self, node, where: str) -> Optional[list]:
-        """The (key node, value node) pairs of a mapping node, taken from it."""
-        if not isinstance(node, yaml.MappingNode):
-            self.error(node, "bad-type", f"{where} must be a mapping")
+    def take(self, node, kind, where: str) -> Optional[list]:
+        """The entries of a `kind` collection node (the (key node, value node)
+        pairs of a mapping), detached from it; ``None`` and `bad-type` for
+        another node, or `alias` when an alias brings back a collection
+        already taken."""
+        if not isinstance(node, kind):
+            self.error(node, "bad-type", f"{where} must be a {kind.id}")
             return None
-        return self.take(node, where)
-
-    def sequence(self, node, where: str) -> Optional[list]:
-        if not isinstance(node, yaml.SequenceNode):
-            self.error(node, "bad-type", f"{where} must be a sequence")
-            return None
-        return self.take(node, where)
-
-    def take(self, node, where: str) -> Optional[list]:
-        """A collection's entries, detached from its node; ``None`` and `alias`
-        when an alias brings back a collection already taken."""
         value = node.value
         if value is None:
             self.error(node, "alias", f"{where} is an alias to a collection read before")
@@ -166,7 +158,7 @@ class _DocParser:
                 entry_where: Optional[str] = None) -> list:
         """Read every entry of a sequence; entries that do not read are skipped."""
         entry_where = entry_where or f"entry of {where}"
-        entries = self.sequence(node, where) or ()
+        entries = self.take(node, yaml.SequenceNode, where) or ()
         out = []
         for i, entry in enumerate(entries):
             entries[i] = None  # lower peak RSS: the model reuses each freed entry
@@ -177,7 +169,7 @@ class _DocParser:
 
     def record(self, node, spec: _Spec):
         """Read one mapping against `spec`; ``None`` when it cannot be built."""
-        pairs = self.mapping(node, spec.where)
+        pairs = self.take(node, yaml.MappingNode, spec.where)
         if pairs is None:
             return None
         values: dict = {"location": self.location(node)} if spec.located else {}
@@ -375,7 +367,7 @@ def _parse_documents(
             diags.append(ParseDiagnostic(
                 Severity.ERROR, "syntax", "document is empty", path))
             continue
-        for key_node, value in parser.mapping(root, "document") or ():
+        for key_node, value in parser.take(root, yaml.MappingNode, "document") or ():
             key = _key_name(key_node)
             if key == "model":
                 is_mapping = isinstance(value, yaml.MappingNode)

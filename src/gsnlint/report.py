@@ -136,12 +136,13 @@ def render_dot(model: GsnModel, by_argument_type_color: bool = False) -> str:
             attrs.append(f"style={_quote(','.join(styles))}")
         lines.append(f"  {_quote(element.id)} [{', '.join(attrs)}];")
 
-    # Assurance claim points become small filled squares splicing their edge.
-    acp_nodes: dict[tuple[str, str, str], str] = {}
+    # Assurance claim points become small filled squares splicing their edge,
+    # in declaration order where one edge has several.
+    acp_nodes: dict[tuple[str, str, str], list[str]] = {}
     for element in elements:
         for i, acp in enumerate(element.acps):
             node_id = f"ACP:{element.id}:{i}"
-            acp_nodes[(element.id, acp.relation.value, acp.target)] = node_id
+            acp_nodes.setdefault((element.id, acp.relation.value, acp.target), []).append(node_id)
             lines.append(
                 f"  {_quote(node_id)} [shape=square, style=\"filled\", "
                 f"fillcolor=\"black\", width=0.12, label=\"\"];")
@@ -149,8 +150,7 @@ def render_dot(model: GsnModel, by_argument_type_color: bool = False) -> str:
     for element in elements:
         for relation, style in (("supported_by", ""), ("in_context_of", " [style=dashed]")):
             for target in getattr(element, relation):
-                node = acp_nodes.get((element.id, relation, target))
-                hops = (element.id, target) if node is None else (element.id, node, target)
+                hops = (element.id, *acp_nodes.get((element.id, relation, target), ()), target)
                 for tail, head in zip(hops, hops[1:]):
                     lines.append(f"  {_quote(tail)} -> {_quote(head)}{style};")
     lines.append("}")

@@ -155,11 +155,27 @@ INSTANTIATION_RULES = ("ST1", "D1", "D2", "TL1", "EV1")
 WF_RULES = tuple(f"WF{i}" for i in range(1, 10))
 
 
+class UnknownRuleError(ValueError):
+    pass
+
+
 @dataclass
 class RuleProfile:
+    """The rules to run and their severity overrides; every id must be in
+    `CATALOG` (`UnknownRuleError` names the first unknown one, sorted)."""
+
     name: str
     enabled_rules: frozenset[str]
     severity_overrides: dict[str, Severity] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.severity_overrides is None:
+            self.severity_overrides = {}
+        for ids, where in ((self.enabled_rules, ""),
+                           (self.severity_overrides, " in severity overrides")):
+            unknown = sorted(set(ids) - CATALOG.keys())
+            if unknown:
+                raise UnknownRuleError(f"unknown rule id '{unknown[0]}'{where}")
 
 
 #: Profile name -> rule ids, in the order the CLI offers the profiles.
@@ -169,10 +185,6 @@ PROFILE_RULES = {
     "gsn-wf": WF_RULES,
     "all": CORE_RULES + INSTANTIATION_RULES + WF_RULES,
 }
-
-
-class UnknownRuleError(ValueError):
-    pass
 
 
 class PreconditionError(Exception):
@@ -189,11 +201,7 @@ def make_profile(name: str, severity_overrides: Optional[dict[str, Severity]] = 
                  ) -> RuleProfile:
     if name not in PROFILE_RULES:
         raise UnknownRuleError(f"unknown profile '{name}'")
-    overrides = dict(severity_overrides or {})
-    for rule in overrides:
-        if rule not in CATALOG:
-            raise UnknownRuleError(f"unknown rule id '{rule}' in severity overrides")
-    return RuleProfile(name, frozenset(PROFILE_RULES[name]), overrides)
+    return RuleProfile(name, frozenset(PROFILE_RULES[name]), dict(severity_overrides or {}))
 
 
 def catalog_as_json() -> str:
@@ -500,7 +508,7 @@ def _requirement_findings(model: GsnModel, profile: RuleProfile) -> list[Finding
 
 def _finish(findings: list[Finding], profile: RuleProfile) -> list[Finding]:
     """Apply the profile's severity overrides, then sort."""
-    overrides = profile.severity_overrides or {}
+    overrides = profile.severity_overrides
     return sort_findings([replace(f, severity=s) if (s := overrides.get(f.rule)) else f
                           for f in findings])
 
@@ -513,9 +521,6 @@ def check_requirements(model: GsnModel, profile: RuleProfile) -> list[Finding]:
     wf = check_wellformed(model)
     if any(f.severity is Severity.ERROR for f in wf):
         raise PreconditionError(wf)
-    for rule in profile.enabled_rules:
-        if rule not in CATALOG:
-            raise UnknownRuleError(f"unknown rule id '{rule}'")
     return _finish(_requirement_findings(model, profile), profile)
 
 

@@ -98,7 +98,7 @@ def acp_report(model: GsnModel) -> dict:
     """Assurance-claim-point placement statistics over the risk argument."""
     risk = model.argument_subset(ArgumentType.RISK)
     risk_edges = sum(len(e.supported_by) for e in model.iter_elements() if e.id in risk)
-    acp_edges = 0
+    acp_edges: set[tuple[str, str]] = set()  # an edge with several ACPs counts once
     total_acps = 0
     referenced_goals: set[str] = set()
     for element in model.iter_elements():
@@ -106,12 +106,12 @@ def acp_report(model: GsnModel) -> dict:
             total_acps += 1
             referenced_goals.add(acp.confidence_goal)
             if element.id in risk and acp.relation is AcpRelation.SUPPORTED_BY:
-                acp_edges += 1
+                acp_edges.add((element.id, acp.target))
     confidence = model.argument_subset(ArgumentType.CONFIDENCE)
     unlinked = sorted(
         eid for eid in confidence
         if model.index[eid].kind is ElementKind.GOAL and eid not in referenced_goals)
-    density = acp_edges / risk_edges if risk_edges else 0.0
+    density = len(acp_edges) / risk_edges if risk_edges else 0.0
     return {
         "total_acps": total_acps,
         "risk_edges": risk_edges,

@@ -81,6 +81,16 @@ class TestCheck:
             "Try 'main check --help' for help.\n\n"
             "Error: unknown rule id 'R99' in severity overrides\n")
 
+    def test_flags_are_checked_before_the_input_is_read(self, runner):
+        result = runner.invoke(main, [
+            "check", "--severity", "R99=error", "no-such-file.sac.yaml"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "Usage: main check [OPTIONS] PATHS...\n"
+            "Try 'main check --help' for help.\n\n"
+            "Error: unknown rule id 'R99' in severity overrides\n")
+
     def test_parse_failure_exits_two(self, runner):
         result = runner.invoke(main, ["check",
                                       str(FIXTURES / "bad" / "syntax.sac.yaml")])

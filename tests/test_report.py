@@ -142,6 +142,28 @@ class TestRenderDot:
             '  "G2" -> "SN2";\n'
             '}\n')
 
+    def test_acps_on_one_edge_splice_it_in_declaration_order(self):
+        model = link_model("dot", modules=[GsnModule("m", [
+            GsnElement("G1", ElementKind.GOAL, "claim", supported_by=("SN1", "SN2"),
+                       acps=(AssuranceClaimPoint("SN1", AcpRelation.SUPPORTED_BY, "G2"),
+                             AssuranceClaimPoint("SN2", AcpRelation.SUPPORTED_BY, "G2"),
+                             AssuranceClaimPoint("SN1", AcpRelation.SUPPORTED_BY, "G3"))),
+            GsnElement("SN1", ElementKind.SOLUTION, "ev"),
+            GsnElement("SN2", ElementKind.SOLUTION, "ev"),
+            GsnElement("G2", ElementKind.GOAL, "conf", supported_by=("SN3",)),
+            GsnElement("G3", ElementKind.GOAL, "conf", supported_by=("SN3",)),
+            GsnElement("SN3", ElementKind.SOLUTION, "ev"),
+        ])])
+        graph = parse_dot(render_dot(model))
+        acp_nodes = [n for n in graph.nodes if n.startswith("ACP:")]
+        assert acp_nodes == ["ACP:G1:0", "ACP:G1:1", "ACP:G1:2"]
+        for node in acp_nodes:
+            assert len([a for a, b in graph.edges if b == node]) == 1, node
+            assert len([b for a, b in graph.edges if a == node]) == 1, node
+        assert [edge for edge in graph.edges if edge[0] in ("G1", *acp_nodes)] == [
+            ("G1", "ACP:G1:0"), ("ACP:G1:0", "ACP:G1:2"), ("ACP:G1:2", "SN1"),
+            ("G1", "ACP:G1:1"), ("ACP:G1:1", "SN2")]
+
     def test_color_mode_adds_fills(self, reference_model):
         plain = render_dot(reference_model)
         colored = render_dot(reference_model, by_argument_type_color=True)

@@ -85,6 +85,46 @@ class TestCatalog:
             make_profile("core", severity_overrides={"R99": Severity.INFO})
 
 
+class TestRuleProfile:
+    """`RuleProfile` is the one place rule ids are checked, so no profile that
+    `evaluate` or `check_requirements` could be handed names an unknown rule."""
+
+    BAD = [
+        (dict(enabled_rules=frozenset({"R1", "Z9", "R99"})), "unknown rule id 'R99'"),
+        (dict(enabled_rules=frozenset({"R1"}), severity_overrides={"R99": Severity.INFO}),
+         "unknown rule id 'R99' in severity overrides"),
+        (dict(enabled_rules=frozenset({"X1"}), severity_overrides={"R99": Severity.INFO}),
+         "unknown rule id 'X1'"),
+    ]
+
+    @pytest.mark.parametrize("kwargs, message", BAD)
+    def test_unknown_ids_are_rejected_when_built(self, kwargs, message):
+        with pytest.raises(UnknownRuleError) as raised:
+            RuleProfile("custom", **kwargs)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("run", [evaluate, check_requirements])
+    @pytest.mark.parametrize("kwargs, message", BAD)
+    def test_no_rule_runs_with_an_unknown_id(self, monkeypatch, run, kwargs, message):
+        def unreachable(model):
+            raise AssertionError("evaluation began with an unknown rule id")
+        monkeypatch.setattr("gsnlint.rules.check_wellformed", unreachable)
+        with pytest.raises(UnknownRuleError) as raised:
+            run(scaffold_reference_model(), RuleProfile("custom", **kwargs))
+        assert str(raised.value) == message
+
+    def test_none_overrides_read_as_none(self):
+        profile = RuleProfile("custom", frozenset({"TL1"}), None)
+        assert profile.severity_overrides == {}
+        assert evaluate(scaffold_reference_model(), profile) == []
+
+    def test_empty_and_one_rule_profiles_build(self):
+        # The profiles perfbench's per-rule timings evaluate.
+        assert RuleProfile("none", frozenset()).enabled_rules == frozenset()
+        for rule in _RULE_FUNCTIONS:
+            assert RuleProfile(rule, frozenset({rule})).enabled_rules == {rule}
+
+
 class TestEmptyModel:
     def test_single_goal_model_fails_exactly_r1_r5_r9_r10(self):
         model = link_model("empty", modules=[GsnModule("m", [
@@ -270,9 +310,8 @@ class TestRuleBranches:
              "rac_evaluate, rac_maintain", ("G2", "G3"))]
 
     def test_check_requirements_rejects_an_unknown_rule_id(self):
-        profile = RuleProfile("custom", frozenset({"R1", "R99"}))
         with pytest.raises(UnknownRuleError) as raised:
-            check_requirements(self._acp_model(), profile)
+            check_requirements(self._acp_model(), RuleProfile("custom", frozenset({"R1", "R99"})))
         assert str(raised.value) == "unknown rule id 'R99'"
 
 

@@ -6,7 +6,16 @@ import json
 
 import pytest
 
-from gsnlint.model import UnknownRegistryError
+from gsnlint.model import (
+    AcpRelation,
+    ArgumentType,
+    AssuranceClaimPoint,
+    ElementKind,
+    GsnElement,
+    GsnModule,
+    UnknownRegistryError,
+    link_model,
+)
 from gsnlint.parser import load_model
 from gsnlint.trace import (
     REGISTRY_SUBSETS,
@@ -114,6 +123,23 @@ class TestAcpReport:
         report = acp_report(traces_model)
         assert report["total_acps"] == 0
         assert report["acp_density"] == 0.0
+
+    @pytest.mark.parametrize("risk_edges, density", [(("SN1",), 1.0),
+                                                     (("SN1", "SN2", "SN3"), 1 / 3)])
+    def test_an_edge_with_two_acps_counts_once(self, risk_edges, density):
+        model = link_model("acps", modules=[GsnModule("m", [
+            GsnElement("G1", ElementKind.GOAL, "claim", argument_type=ArgumentType.RISK,
+                       supported_by=risk_edges,
+                       acps=(AssuranceClaimPoint("SN1", AcpRelation.SUPPORTED_BY, "G2"),
+                             AssuranceClaimPoint("SN1", AcpRelation.SUPPORTED_BY, "G3"))),
+            *(GsnElement(sn, ElementKind.SOLUTION, "ev") for sn in ("SN1", "SN2", "SN3")),
+            GsnElement("G2", ElementKind.GOAL, "conf", supported_by=("SN3",)),
+            GsnElement("G3", ElementKind.GOAL, "conf", supported_by=("SN3",)),
+        ])])
+        report = acp_report(model)
+        assert report["total_acps"] == 2
+        assert report["risk_edges"] == len(risk_edges)
+        assert report["acp_density"] == pytest.approx(density)
 
 
 class TestEvidenceReport:
