@@ -12,6 +12,7 @@ cached.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -218,11 +219,11 @@ class StructuralProblem:
 
     `location` is where the element the problem is about was declared: the
     repeated copy for a duplicate id, the owning element for an unresolved
-    reference or an invalid assurance claim point, and the first element of
-    a cycle.  It is ``None`` for elements built without a location.
+    or repeated reference or an invalid assurance claim point, and the first
+    element of a cycle.  It is ``None`` for elements built without a location.
     """
 
-    code: str  # duplicate-id | unresolved-ref | cycle | invalid-acp
+    code: str  # duplicate-id | unresolved-ref | duplicate-ref | cycle | invalid-acp
     message: str
     elements: tuple[str, ...] = ()
     location: Optional[SourceLocation] = None
@@ -235,7 +236,8 @@ class ModelError(Exception):
 
 
 def find_structural_problems(model: GsnModel) -> list[StructuralProblem]:
-    """Report duplicate ids, dangling references, relation cycles, and bad ACPs.
+    """Report duplicate ids, dangling or repeated references, relation cycles,
+    and bad ACPs.
 
     The scan runs once per model (models are immutable once read), so the
     parser's guard and WF1-WF3 share it."""
@@ -262,6 +264,15 @@ def _scan_structure(model: GsnModel) -> tuple[StructuralProblem, ...]:
                     "unresolved-ref",
                     f"element '{element.id}' references unknown element '{ref}'",
                     (element.id, ref), element.location))
+        for relation, refs in (("supported_by", element.supported_by),
+                               ("in_context_of", element.in_context_of)):
+            if len(refs) > 1 and len(set(refs)) < len(refs):
+                for ref, count in Counter(refs).items():
+                    if count > 1:
+                        problems.append(StructuralProblem(
+                            "duplicate-ref", f"element '{element.id}' names '{ref}' "
+                            f"more than once in {relation}",
+                            (element.id, ref), element.location))
         for acp in element.acps:
             relation_list = (element.supported_by if acp.relation is AcpRelation.SUPPORTED_BY
                              else element.in_context_of)
@@ -401,17 +412,14 @@ class GsnModel:
         Contextual elements inherit from the elements referencing them.
 
         Elements share their sets: an element with one parent (or one
-        referencer) takes that element's set, and every other set comes
-        from one intern table, so at most 2^|ArgumentType| sets exist.
+        referencer) takes that element's set, and a join gets its own.
         """
         eff: dict[str, frozenset[ArgumentType]] = {}
-        interned = {types: types for types in (_UNTYPED, *_TAGGED.values())}
 
         def inherit(ids: list[str]) -> frozenset[ArgumentType]:
             if len(ids) == 1:
                 return eff.get(ids[0], _UNTYPED)
-            types = _UNTYPED.union(*[eff.get(i, _UNTYPED) for i in ids])
-            return interned.setdefault(types, types)
+            return _UNTYPED.union(*[eff.get(i, _UNTYPED) for i in ids])
 
         for eid in self.topo_order:
             tag = self.index[eid].argument_type
@@ -432,7 +440,6 @@ class GsnModel:
         """
         eff = self.effective_types
         scopes: dict[str, frozenset[ArgumentType]] = {}
-        interned: dict[frozenset[ArgumentType], frozenset[ArgumentType]] = {}
 
         def widen(eid: str, ids: list[str]) -> frozenset[ArgumentType]:
             types = eff[eid]
@@ -442,7 +449,7 @@ class GsnModel:
                     types = outer
                 elif not outer <= types:
                     types = types | outer
-            return interned.setdefault(types, types)
+            return types
 
         for eid in self.topo_order:
             scopes[eid] = widen(eid, self.support_parents[eid])

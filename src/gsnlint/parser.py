@@ -56,17 +56,42 @@ from .model import (
 )
 
 
+#: The deepest a document's nodes may nest (a valid model nests 8 deep): the
+#: composers recurse per level, PyYAML's into RecursionError from about 500.
+MAX_DEPTH = 256
+
+
+def _depth_hooks():
+    """One loader's `descend_resolver` and `ascend_resolver`, which compose
+    calls per node: closures over the nesting depth (cheaper per node than
+    methods updating an attribute) that stop at the collection crossing
+    `MAX_DEPTH`."""
+    depth = 0
+
+    def descend_resolver(current_node, current_index):
+        nonlocal depth
+        depth += 1
+        if depth > MAX_DEPTH:
+            raise yaml.composer.ComposerError(
+                None, None, f"document nests deeper than {MAX_DEPTH} levels",
+                current_node.start_mark)
+
+    def ascend_resolver():
+        nonlocal depth
+        depth -= 1
+
+    return descend_resolver, ascend_resolver
+
+
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The safe loader with lean resolver hooks, which compose calls per node:
-    no path resolvers are registered, so descending and ascending track
-    nothing, and `resolve` reads `BaseResolver.resolve`'s first-character
-    table of implicit resolvers without copying it."""
+    """The safe loader with lean resolver hooks: no path resolvers are
+    registered, so descending and ascending only count the nesting depth
+    (`_depth_hooks`), and `resolve` reads `BaseResolver.resolve`'s
+    first-character table of implicit resolvers without copying it."""
 
-    def descend_resolver(self, current_node, current_index):
-        pass
-
-    def ascend_resolver(self):
-        pass
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.descend_resolver, self.ascend_resolver = _depth_hooks()
 
     def resolve(self, kind, value, implicit):
         if kind is not yaml.ScalarNode:

@@ -121,7 +121,8 @@ CATALOG: dict[str, RuleDescriptor] = {d.id: d for d in [
     RuleDescriptor(
         "WF3", "References resolve", Severity.ERROR,
         "GSN community standard",
-        "All relation and assurance-claim-point references resolve."),
+        "All relation and assurance-claim-point references resolve, and no "
+        "relation names one target twice."),
     RuleDescriptor(
         "WF4", "Legal support targets", Severity.ERROR,
         "GSN community standard",
@@ -295,10 +296,10 @@ def _rule_r2(model: GsnModel) -> list[Finding]:
 
 
 def _coverage_rule(model: GsnModel, rule: str, registry_name: str,
-                   extra_reasons: Optional[Callable] = None) -> list[Finding]:
+                   rationale_given: bool = True) -> list[Finding]:
     """One Error per registry item whose trace matrix row is uncovered, not
-    solution-backed, or failed by extra_reasons; empty registries pass
-    vacuously with a warning."""
+    solution-backed, or lacks a rationale when rationale_given is false;
+    empty registries pass vacuously with a warning."""
     matrix = trace_registry(model, registry_name)
     if matrix.vacuous:
         return [_vacuous(rule, registry_name)]
@@ -309,8 +310,8 @@ def _coverage_rule(model: GsnModel, rule: str, registry_name: str,
             reasons.append("not traced from the relevant argument")
         elif not row.solution_backed:
             reasons.append("tracing elements lack supporting solutions")
-        if extra_reasons:
-            reasons.extend(extra_reasons(item))
+        if not (rationale_given or item.selection_rationale):
+            reasons.append("no selection rationale recorded for the normative document")
         if reasons:
             findings.append(Finding(
                 rule, Severity.ERROR,
@@ -325,16 +326,8 @@ def _rule_r3(model: GsnModel) -> list[Finding]:
 
 def _rule_r4(model: GsnModel) -> list[Finding]:
     conformance = model.argument_subset(ArgumentType.CONFORMANCE)
-    has_rationale_element = bool(
-        _role_members(model, conformance, RoleTag.SELECTION_RATIONALE))
-
-    def rationale_missing(item):
-        if not item.selection_rationale and not has_rationale_element:
-            return ["no selection rationale recorded for the normative document"]
-        return []
-
-    return _coverage_rule(model, "R4", "normative_requirements",
-                          extra_reasons=rationale_missing)
+    return _coverage_rule(model, "R4", "normative_requirements", bool(
+        _role_members(model, conformance, RoleTag.SELECTION_RATIONALE)))
 
 
 def _rule_r5(model: GsnModel) -> list[Finding]:

@@ -24,8 +24,8 @@ LEGAL_SUPPORT_TARGETS: dict[ElementKind, frozenset[ElementKind]] = {
     ElementKind.STRATEGY: frozenset({ElementKind.GOAL, ElementKind.SOLUTION}),
 }
 
-_GUARD_RULES = {"cycle": "WF1", "duplicate-id": "WF2",
-                "unresolved-ref": "WF3", "invalid-acp": "WF3"}
+_GUARD_RULES = {"cycle": "WF1", "duplicate-id": "WF2", "unresolved-ref": "WF3",
+                "duplicate-ref": "WF3", "invalid-acp": "WF3"}
 
 
 def check_wellformed(model: GsnModel) -> list[Finding]:
@@ -34,7 +34,8 @@ def check_wellformed(model: GsnModel) -> list[Finding]:
     # WF1-WF3: structural guards, normally caught at parse/link time.
     for problem in find_structural_problems(model):
         findings.append(Finding(
-            _GUARD_RULES[problem.code], Severity.ERROR, problem.message, problem.elements))
+            _GUARD_RULES[problem.code], Severity.ERROR, problem.message, problem.elements,
+            problem.location))
     if any(f.rule in ("WF2", "WF3") for f in findings):
         # Index-based checks below are unreliable on a broken id space.
         return sort_findings(findings)

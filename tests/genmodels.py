@@ -7,7 +7,8 @@ string_model puts one string into every kind of free text a model
 writes, for the YAML writer's tests; ill_formed_model builds small models
 that skip the structural guards, for the guards' own tests; alias_document
 writes a model text that names one ACP, element and module k times each
-through YAML aliases.
+through YAML aliases; nest writes a one-line document nested to a given
+depth.
 """
 
 from __future__ import annotations
@@ -215,7 +216,8 @@ def ill_formed_model(seed: int) -> GsnModel:
     the element itself or the undeclared `X1` (cycles, self-loops, dangling
     references), some ids are declared twice with their own relations, one
     element object may be listed twice, and ACPs name random targets and
-    confidence goals.  The rest link only to later ids and carry no ACP."""
+    confidence goals.  The rest link only to later ids and carry no ACP.
+    Any relation may name one target twice."""
     rng = random.Random(seed)
     ids = [f"E{i}" for i in range(rng.randint(1, 12))]
     wild = rng.random() < 0.75
@@ -251,3 +253,18 @@ def alias_document(k: int) -> str:
     elements = named("E", f"{{id: G, kind: goal, acp: [{acps}]}}")
     modules = named("M", f"{{id: m, elements: [{elements}]}}")
     return f"model: {{id: a}}\nmodules: [{modules}]\n"
+
+
+#: The collection shapes `nest` writes.
+NEST_SHAPES = ("flow-sequence", "flow-mapping", "block-sequence")
+
+
+def nest(shape: str, depth: int) -> str:
+    """A one-line document whose deepest path holds `depth` nodes: flow
+    sequences (`[[]]`), flow mappings around a scalar (`{b: {b: x}}`) or
+    block sequences around a scalar (`- - x`)."""
+    if shape == "flow-sequence":
+        return "[" * depth + "]" * depth + "\n"
+    if shape == "flow-mapping":
+        return "{b: " * (depth - 1) + "x" + "}" * (depth - 1) + "\n"
+    return "- " * (depth - 1) + "x\n"

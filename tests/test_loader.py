@@ -6,7 +6,9 @@ hooks that the composer calls once per node.  Every fixture and generated
 scalars compose to the same node kinds and tags under `_Loader`, under
 both safe loaders, and under the same hooks built on `SafeLoader`; so does
 the seeded mutation corpus of `test_parser_table.py`, against `SafeLoader`
-on one seed of four.  The last test pins how
+on one seed of four.  Under both lean loaders a document nested deeper
+than `parser.MAX_DEPTH` is a `yaml.YAMLError`, not a recursion error or a
+crash.  The last test pins how
 `parse_model` calls `yaml.compose`: through the module attribute, once per
 document, which the benchmark's `parser.compose_s` span relies on.
 """
@@ -23,12 +25,20 @@ from hypothesis import strategies as st
 from gsnlint import parser
 from gsnlint.parser import parse_model
 
+from genmodels import NEST_SHAPES, nest
 from test_parser_table import fixture_documents, mutated_cases
 
-#: The lean hooks on the pure-Python loader, as `_Loader` is built without libyaml.
-LeanSafeLoader = type("LeanSafeLoader", (yaml.SafeLoader,), {
-    hook: vars(parser._Loader)[hook]
-    for hook in ("descend_resolver", "ascend_resolver", "resolve")})
+
+class LeanSafeLoader(yaml.SafeLoader):
+    """The lean hooks on the pure-Python loader, as `_Loader` is built
+    without libyaml."""
+
+    resolve = parser._Loader.resolve
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.descend_resolver, self.ascend_resolver = parser._depth_hooks()
+
 
 #: Each lean loader and the loader it must agree with on every input.
 PAIRS = [(parser._Loader, parser._Loader.__bases__[0]), (LeanSafeLoader, yaml.SafeLoader)]
@@ -56,8 +66,9 @@ def node_tags(text: str, loader) -> list[tuple[str, str]] | None:
 
 def assert_same_tags(text: str, loaders=ALL) -> None:
     """Every loader that composes `text` gives the same tags, and a lean
-    loader composes exactly what its base composes.  (libyaml and the
-    pure-Python scanner may disagree on what composes at all.)"""
+    loader composes exactly what its base composes, below its depth limit.
+    (libyaml and the pure-Python scanner may disagree on what composes at
+    all.)"""
     tags = {loader: node_tags(text, loader) for loader in loaders}
     composed = [t for t in tags.values() if t is not None]
     assert all(t == composed[0] for t in composed), text
@@ -116,6 +127,15 @@ def _styled(value: str, style: str) -> str:
 def test_scalars_compose_to_the_same_tags(value, style):
     scalar = _styled(value, style)
     assert_same_tags(f"a: {scalar}\n{scalar}: b\nc: [{scalar}, x]\nd:\n  - {scalar}\n")
+
+
+@pytest.mark.parametrize("loader", [lean for lean, _ in PAIRS], ids=lambda l: l.__name__)
+@pytest.mark.parametrize("shape", NEST_SHAPES)
+def test_lean_loaders_stop_at_the_depth_limit(loader, shape):
+    assert node_tags(nest(shape, parser.MAX_DEPTH), loader) is not None
+    for depth in (parser.MAX_DEPTH + 1, 50_000):
+        with pytest.raises(yaml.YAMLError, match="nests deeper than"):
+            yaml.compose(nest(shape, depth), Loader=loader)
 
 
 def test_parse_model_composes_each_document_once_with_the_lean_loader(monkeypatch):

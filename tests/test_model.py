@@ -224,6 +224,14 @@ class TestLinking:
                 goal("G1", supported_by=("GX",))])])
         assert any(p.code == "unresolved-ref" for p in exc.value.problems)
 
+    def test_repeated_reference_rejected(self):
+        with pytest.raises(ModelError) as exc:
+            link_model("m", modules=[GsnModule("a", [
+                goal("G1", supported_by=("SN1", "SN1")), solution("SN1")])])
+        assert [(p.code, p.message, p.elements) for p in exc.value.problems] == [
+            ("duplicate-ref", "element 'G1' names 'SN1' more than once in supported_by",
+             ("G1", "SN1"))]
+
 
 class TestTagMonotonicity:
     def test_tagging_only_shrinks_within_overridden_subtree(self):

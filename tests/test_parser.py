@@ -16,8 +16,8 @@ from gsnlint.model import ArgumentType, ElementKind, canonical_dict, models_equa
 from gsnlint.parser import load_model, parse_model, serialize_model, serialize_registries
 
 from conftest import FIXTURES, bad_fixture_paths, good_fixture_groups
-from genmodels import (EDGE_STRINGS, FALLBACK_STRINGS, alias_document, big_model, random_model,
-                       string_model)
+from genmodels import (EDGE_STRINGS, FALLBACK_STRINGS, NEST_SHAPES, alias_document, big_model,
+                       nest, random_model, string_model)
 
 
 MINIMAL = """\
@@ -171,8 +171,9 @@ class TestParseErrors:
         assert [str(d) for d in diags] == expected
 
     # A structural diagnostic points at the element its problem is about:
-    # each repeated copy of an id, the owner of a dangling reference or an
-    # assurance claim point, and the first element of a cycle.
+    # each repeated copy of an id, the owner of a dangling or repeated
+    # reference or of an assurance claim point, and the first element of a
+    # cycle.
     @pytest.mark.parametrize("elements,expected", [
         ("      - {id: G0, kind: goal, supported_by: [G1]}\n"
          "      - {id: G1, kind: goal, supported_by: [G2]}\n"
@@ -187,6 +188,12 @@ class TestParseErrors:
          "      - {id: G2, kind: goal, in_context_of: [C9]}\n",
          ["inline.sac.yaml:6:9: error: element 'G2' references unknown element 'C9' "
           "[unresolved-ref]"]),
+        ("      - {id: SN1, kind: solution}\n      - {id: C1, kind: context}\n"
+         "      - {id: G1, kind: goal, supported_by: [SN1, SN1], in_context_of: [C1, C1, C1]}\n",
+         ["inline.sac.yaml:7:9: error: element 'G1' names 'SN1' more than once in "
+          "supported_by [duplicate-ref]",
+          "inline.sac.yaml:7:9: error: element 'G1' names 'C1' more than once in "
+          "in_context_of [duplicate-ref]"]),
         ("      - {id: Sn1, kind: solution}\n      - id: G1\n        kind: goal\n"
          "        supported_by: [Sn1]\n"
          "        acp: [{target: Sn1, relation: supported_by, confidence_goal: CG9}]\n",
@@ -200,7 +207,7 @@ class TestParseErrors:
           "inline.sac.yaml:6:9: error: confidence goal 'Sn1' of assurance claim point "
           "on 'G1' is a solution, not a goal [invalid-acp]"]),
     ], ids=["cycle", "duplicate-id", "duplicate-id-three-copies", "unresolved-ref",
-            "unresolved-ref-confidence-goal", "invalid-acp"])
+            "duplicate-ref", "unresolved-ref-confidence-goal", "invalid-acp"])
     def test_structural_diagnostic_positions(self, elements, expected):
         text = "model: {id: d}\nmodules:\n  - id: m\n    elements:\n" + elements
         model, diags = parse_text(text)
@@ -337,6 +344,36 @@ class TestAliases:
         assert model is None
         assert [d.code for d in diags].count("alias") == 3 * (k - 1)
         assert len(diags) == 3 * (k - 1) + 1  # and the one copy's own invalid-acp
+
+
+class TestNesting:
+    """A document whose nodes nest deeper than `parser.MAX_DEPTH` is an Error
+    `syntax` at the collection that crosses the limit, and the documents
+    after it are still read."""
+
+    @pytest.mark.parametrize("shape,width", [
+        ("flow-sequence", 1), ("flow-mapping", 4), ("block-sequence", 2)])
+    def test_diagnostic_at_the_crossing_collection(self, shape, width):
+        model, diags = parse_model([("deep.sac.yaml", nest(shape, 50_000)),
+                                    ("next.sac.yaml", "model: {id: d, id: e}\n")])
+        assert model is None
+        # The crossing collection is the one at depth MAX_DEPTH, `width`
+        # columns per level from the first.
+        assert [(d.file, d.line, d.column, d.code) for d in diags] == [
+            ("deep.sac.yaml", 1, width * (parser.MAX_DEPTH - 1) + 1, "syntax"),
+            ("next.sac.yaml", 1, 16, "duplicate-key")]
+        assert diags[0].message.startswith(
+            f"malformed document: document nests deeper than {parser.MAX_DEPTH} levels")
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(NEST_SHAPES), depth=st.integers(1, 2_000))
+    @example(shape="flow-sequence", depth=parser.MAX_DEPTH)
+    @example(shape="block-sequence", depth=parser.MAX_DEPTH + 1)
+    def test_nests_never_raise(self, shape, depth):
+        model, diags = parse_model([("deep.sac.yaml", nest(shape, depth))])
+        assert model is None
+        assert any("nests deeper than" in d.message for d in diags) == \
+            (depth > parser.MAX_DEPTH)
 
 
 class TestRoundTrip:

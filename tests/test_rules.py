@@ -14,6 +14,7 @@ from gsnlint.model import (
     ElementKind,
     GsnElement,
     GsnModule,
+    NormativeRequirement,
     RacLevel,
     Registries,
     RiskAcceptanceCriterion,
@@ -308,6 +309,35 @@ class TestRuleBranches:
              "product argument", ()),
             (Severity.ERROR, "global risk acceptance criteria lack elements with roles: "
              "rac_evaluate, rac_maintain", ("G2", "G3"))]
+
+    def _r4(self, *conformance_roles, traced=True):
+        """R4 on NR-1 (no rationale) and NR-2 (its own rationale), both
+        traced from a solution-backed conformance goal unless `traced` is
+        false; G2 carries `conformance_roles`."""
+        return _pinned("R4", [
+            _goal("G1", ArgumentType.CONFORMANCE, supported_by=("G2",)),
+            _goal("G2", roles=set(conformance_roles),
+                  traces={"NR-1", "NR-2"} if traced else set(), supported_by=("SN1",)),
+            _solution("SN1"),
+        ], registries=Registries(normative_requirements=[
+            NormativeRequirement("NR-1"),
+            NormativeRequirement("NR-2", selection_rationale="chosen for the domain")]))
+
+    def test_r4_item_without_a_rationale(self):
+        assert self._r4() == [
+            (Severity.ERROR, "normative_requirements item 'NR-1': no selection rationale "
+             "recorded for the normative document", ("G2",))]
+
+    def test_r4_selection_rationale_element_gives_every_item_a_rationale(self):
+        assert self._r4(RoleTag.SELECTION_RATIONALE) == []
+
+    def test_r4_untraced_item_without_a_rationale(self):
+        assert self._r4(traced=False) == [
+            (Severity.ERROR, "normative_requirements item 'NR-1': not traced from the "
+             "relevant argument; no selection rationale recorded for the normative "
+             "document", ()),
+            (Severity.ERROR, "normative_requirements item 'NR-2': not traced from the "
+             "relevant argument", ())]
 
     def test_check_requirements_rejects_an_unknown_rule_id(self):
         with pytest.raises(UnknownRuleError) as raised:

@@ -5,10 +5,9 @@ an ordinary exit: 0, 1 or 2, never a signal (a crash of the interpreter)
 and never 3 (an internal error).  The wall-clock bound grows with the
 input's size, so a reader whose cost is not linear in the input fails it:
 the alias case would read k**3 = 8,000,000 ACP records if aliases were
-followed.
-
-Documents nested 50,000 deep still crash libyaml's recursive composer
-and are not in this suite.
+followed.  The alias and nesting cases must also be refused with their
+own diagnostic: a document nested 50,000 deep would overflow libyaml's
+recursive composer if the loader did not stop it at its depth limit.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import gsnlint
-from genmodels import alias_document
+from genmodels import NEST_SHAPES, alias_document, nest
 
 SRC = Path(gsnlint.__file__).resolve().parents[1]
 #: Interpreter start-up and import, then the time allowed per megabyte of
@@ -62,7 +61,12 @@ SHAPES = {
     "chain-10000": lambda: [chain(10_000)],
     "scalar-1mb": lambda: [big_scalar(1 << 20)],
     "documents-300": lambda: tiny_documents(300),
+    **{f"{shape}-50000": (lambda shape=shape: [nest(shape, 50_000)]) for shape in NEST_SHAPES},
 }
+
+#: Case -> what stderr must hold, for the cases that must exit 2.
+REFUSED = {"alias-200": "[alias]",
+           **{f"{shape}-50000": "nests deeper than" for shape in NEST_SHAPES}}
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -83,6 +87,6 @@ def test_check_ends_normally_in_time_linear_in_the_input(shape, tmp_path):
     except subprocess.TimeoutExpired:
         pytest.fail(f"{shape}: check ran past {bound:.1f} s on {size_mb:.3f} MB")
     assert result.returncode in (0, 1, 2), (shape, result.returncode, result.stderr[-2000:])
-    if shape.startswith("alias"):
+    if shape in REFUSED:
         assert result.returncode == 2
-        assert "[alias]" in result.stderr
+        assert REFUSED[shape] in result.stderr

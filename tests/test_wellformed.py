@@ -11,6 +11,7 @@ from gsnlint.model import (
     GsnElement,
     GsnModule,
     GsnModel,
+    SourceLocation,
 )
 from gsnlint.parser import load_model
 from gsnlint.wellformed import LEGAL_SUPPORT_TARGETS, check_wellformed
@@ -119,3 +120,41 @@ class TestSupportPairEnumeration:
             (ElementKind.STRATEGY, ElementKind.GOAL),
             (ElementKind.STRATEGY, ElementKind.SOLUTION),
         }
+
+
+class TestGuardFindings:
+    """WF1-WF3 on hand-built models keep the location of their guard
+    problem, as WF4-WF9 carry their element's."""
+
+    @staticmethod
+    def _at(line):
+        return SourceLocation("m.sac.yaml", line, 9)
+
+    def _wf(self, *relations):
+        """WF1-WF3 findings on goals G0, G1, ... declared on lines 1, 2, ...,
+        goal i supported by relations[i]."""
+        model = GsnModel("guards", modules=[GsnModule("m", [
+            GsnElement(f"G{i}", ElementKind.GOAL, "claim", supported_by=targets,
+                       location=self._at(i + 1))
+            for i, targets in enumerate(relations)])])
+        return [(f.rule, f.message, f.elements, f.location)
+                for f in check_wellformed(model) if f.rule in ("WF1", "WF2", "WF3")]
+
+    def test_wf1_points_at_the_cycles_first_element(self):
+        assert self._wf(("G1",), ("G2",), ("G1",)) == [
+            ("WF1", "supported_by cycle: G1 -> G2 -> G1", ("G1", "G2"), self._at(2))]
+
+    def test_wf2_points_at_the_repeated_copy(self):
+        model = GsnModel("guards", modules=[GsnModule("m", [
+            GsnElement("G1", ElementKind.GOAL, "claim", location=self._at(1)),
+            GsnElement("G1", ElementKind.GOAL, "claim", location=self._at(2))])])
+        assert [(f.rule, f.message, f.elements, f.location)
+                for f in check_wellformed(model)] == [
+            ("WF2", "duplicate element id 'G1'", ("G1",), self._at(2))]
+
+    def test_wf3_points_at_the_owning_element(self):
+        assert self._wf(("G1", "G1", "GX"), ()) == [
+            ("WF3", "element 'G0' names 'G1' more than once in supported_by", ("G0", "G1"),
+             self._at(1)),
+            ("WF3", "element 'G0' references unknown element 'GX'", ("G0", "GX"),
+             self._at(1))]
