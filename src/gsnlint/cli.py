@@ -3,7 +3,9 @@
 Exit codes: 0 when no Error finding, 1 when at least one Error finding
 (or, with --strict-warnings, a Warning), 2 on parse or usage failure or
 when an output file cannot be written, 3 on an unexpected exception (an
-internal error).  Reports go to stdout, diagnostics to stderr.
+internal error).  Reports go to stdout, diagnostics to stderr; under
+`--format json`, an input that reads as no model also puts its diagnostics
+on stdout as a JSON envelope.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import click
 from . import rules as rules_mod
 from .findings import Severity
 from .parser import load_model, serialize_model, serialize_registries
-from .report import ReportBundle, emit_findings, render_dot
+from .report import ReportBundle, emit_diagnostics_json, emit_findings, render_dot
 from .scaffold import ScaffoldOptions, scaffold_reference_model
 from .trace import (
     REGISTRY_SUBSETS,
@@ -41,11 +43,13 @@ def _parse_severity_overrides(pairs: tuple[str, ...]) -> dict[str, Severity]:
     return overrides
 
 
-def _load_or_exit(paths: tuple[str, ...], lenient: bool):
+def _load_or_exit(paths: tuple[str, ...], lenient: bool, as_json: bool = False):
     model, diags = load_model(list(paths), lenient=lenient)
     for diag in diags:
         click.echo(str(diag), err=True)
     if model is None:
+        if as_json:
+            click.echo(emit_diagnostics_json(diags))
         sys.exit(2)
     return model
 
@@ -98,7 +102,7 @@ def check(paths, profile, fmt, lenient, strict_warnings, severity_pairs) -> None
             profile, _parse_severity_overrides(severity_pairs))
     except rules_mod.UnknownRuleError as exc:
         raise click.UsageError(str(exc))
-    model = _load_or_exit(paths, lenient)
+    model = _load_or_exit(paths, lenient, fmt == "json")
     findings = rules_mod.evaluate(model, rule_profile)
     bundle = ReportBundle(
         model_id=model.id,
@@ -153,7 +157,7 @@ def scaffold(out_path, top_claim, no_samples, split, force) -> None:
 @click.option("--lenient", is_flag=True)
 def trace(registry, paths, fmt, lenient) -> None:
     """Emit the traceability matrix for one registry."""
-    model = _load_or_exit(paths, lenient)
+    model = _load_or_exit(paths, lenient, fmt == "json")
     matrix = trace_registry(model, registry)
     if fmt == "json":
         click.echo(matrix_to_json(matrix))

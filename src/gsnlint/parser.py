@@ -61,37 +61,31 @@ from .model import (
 MAX_DEPTH = 256
 
 
-def _depth_hooks():
-    """One loader's `descend_resolver` and `ascend_resolver`, which compose
-    calls per node: closures over the nesting depth (cheaper per node than
-    methods updating an attribute) that stop at the collection crossing
-    `MAX_DEPTH`."""
-    depth = 0
-
-    def descend_resolver(current_node, current_index):
-        nonlocal depth
-        depth += 1
-        if depth > MAX_DEPTH:
-            raise yaml.composer.ComposerError(
-                None, None, f"document nests deeper than {MAX_DEPTH} levels",
-                current_node.start_mark)
-
-    def ascend_resolver():
-        nonlocal depth
-        depth -= 1
-
-    return descend_resolver, ascend_resolver
-
-
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The safe loader with lean resolver hooks: no path resolvers are
-    registered, so descending and ascending only count the nesting depth
-    (`_depth_hooks`), and `resolve` reads `BaseResolver.resolve`'s
-    first-character table of implicit resolvers without copying it."""
+class _Lean:
+    """Lean resolver hooks for a safe loader.  No path resolvers are
+    registered, so the `descend_resolver` and `ascend_resolver` that compose
+    calls per node only count this loader's nesting depth, as closures
+    (cheaper per node than methods), and stop at the collection crossing
+    `MAX_DEPTH`; `resolve` reads the implicit resolvers' first-character
+    table without copying it."""
 
     def __init__(self, stream):
         super().__init__(stream)
-        self.descend_resolver, self.ascend_resolver = _depth_hooks()
+        depth = 0
+
+        def descend_resolver(current_node, current_index):
+            nonlocal depth
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise yaml.composer.ComposerError(
+                    None, None, f"document nests deeper than {MAX_DEPTH} levels",
+                    current_node.start_mark)
+
+        def ascend_resolver():
+            nonlocal depth
+            depth -= 1
+
+        self.descend_resolver, self.ascend_resolver = descend_resolver, ascend_resolver
 
     def resolve(self, kind, value, implicit):
         if kind is not yaml.ScalarNode:
@@ -102,6 +96,10 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                 if regexp.match(value):
                     return tag
         return self.DEFAULT_SCALAR_TAG
+
+
+class _Loader(_Lean, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The lean hooks on libyaml's safe loader, or PyYAML's where it is missing."""
 
 
 _CDumper = getattr(yaml, "CSafeDumper", None)
@@ -420,7 +418,7 @@ def _parse_documents(
     model = GsnModel(**(header or {"id": ""}), modules=modules,
                      registries=Registries(**registries), artifacts=artifacts)
     for problem in find_structural_problems(model):
-        loc = problem.location or SourceLocation(documents[0][0], 1, 1)
+        loc = problem.location
         diags.append(ParseDiagnostic(
             Severity.ERROR, problem.code, problem.message, loc.file, loc.line, loc.column))
 

@@ -1,4 +1,4 @@
-"""Rendering of findings, matrices, and the model graph.
+"""Rendering of findings, parse diagnostics, matrices, and the model graph.
 
 Text and JSON output are byte-deterministic for identical inputs; DOT
 output follows the usual GSN shape conventions (goal=box,
@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .findings import Finding, Severity
+from .findings import Finding, ParseDiagnostic, Severity
 from .model import ArgumentType, ElementKind, GsnModel
 from .trace import TraceMatrix, matrix_to_dict
 
@@ -100,6 +100,12 @@ def emit_findings_json(bundle: ReportBundle) -> str:
     return json.dumps(data, indent=2)
 
 
+def emit_diagnostics_json(diagnostics: list[ParseDiagnostic]) -> str:
+    """The JSON envelope of the diagnostics of an input that read as no model."""
+    return json.dumps({"diagnostics": [{**asdict(d), "severity": d.severity.value}
+                                       for d in diagnostics]}, indent=2)
+
+
 def emit_findings(bundle: ReportBundle, format: str = "text") -> str:
     if format == "json":
         return emit_findings_json(bundle)
@@ -128,7 +134,7 @@ def render_dot(model: GsnModel, by_argument_type_color: bool = False) -> str:
         attrs = [f"shape={shape}", f"label={_quote(label)}"]
         styles = [style] if style else []
         if by_argument_type_color:
-            types = sorted(effective.get(element.id, ()), key=lambda t: t.value)
+            types = sorted(effective[element.id], key=lambda t: t.value)
             if types:
                 styles.append("filled")
                 attrs.append(f"fillcolor={_quote(_TYPE_COLORS[types[0]])}")

@@ -210,6 +210,30 @@ class TestTrace:
         assert result.exit_code == 2
 
 
+class TestJsonOnParseFailure:
+    """`check` and `trace` under --format json print the diagnostics of an
+    input that reads as no model as a JSON envelope on stdout, and exit 2;
+    stderr keeps its text lines, and the text formats print nothing."""
+
+    COMMANDS = {"check": ["check"], "trace": ["trace", "hazards"]}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("path", [str(FIXTURES / "bad" / "syntax.sac.yaml"),
+                                      "no-such-file.sac.yaml"], ids=["syntax", "missing"])
+    def test_envelope_holds_the_parse_diagnostics(self, runner, command, path):
+        model, diags = load_model([path])
+        assert model is None and diags
+        stderr = "".join(f"{d}\n" for d in diags)
+        result = runner.invoke(main, self.COMMANDS[command] + ["--format", "json", path])
+        assert result.exit_code == 2
+        assert json.loads(result.stdout) == {"diagnostics": [
+            {"severity": d.severity.value, "code": d.code, "message": d.message,
+             "file": d.file, "line": d.line, "column": d.column} for d in diags]}
+        assert result.stderr == stderr
+        text = runner.invoke(main, self.COMMANDS[command] + [path])
+        assert (text.exit_code, text.stdout, text.stderr) == (2, "", stderr)
+
+
 class TestRender:
     def test_stdout_is_valid_dot(self, runner):
         result = runner.invoke(main, ["render", fixture("03-chain.sac.yaml")])

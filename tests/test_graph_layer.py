@@ -508,9 +508,11 @@ class TestNeverRaises:
 
 class TestExitCodes:
     """Exit codes, end to end: never 3, 2 exactly when `parse_model` returns
-    no model; otherwise `check` exits 1 exactly when a reported finding is
-    an Error, or a Warning under --strict-warnings, and `trace` and `render`
-    on the same file exit 0."""
+    no model, and then `check`'s stdout, and `trace`'s under --format json,
+    is the JSON envelope of `parse_model`'s diagnostics while the other
+    formats print nothing; otherwise `check` exits 1 exactly when a reported
+    finding is an Error, or a Warning under --strict-warnings, and `trace`
+    and `render` on the same file exit 0."""
 
     #: How `trace` and `render` run on each example.
     _OTHERS = dict(registry=st.sampled_from(sorted(_REGISTRIES)),
@@ -520,7 +522,7 @@ class TestExitCodes:
     def check(document, strict: bool, registry: str, trace_format: str,
               color: bool) -> None:
         text = yaml.safe_dump(document, sort_keys=False)
-        model, _ = parse_model([("case.sac.yaml", text)])
+        model, diags = parse_model([("case.sac.yaml", text)])
         runner = CliRunner()
         with runner.isolated_filesystem():
             Path("case.sac.yaml").write_text(text, encoding="utf-8")
@@ -536,6 +538,16 @@ class TestExitCodes:
         assert result.exit_code != 3, result.output
         if model is None:
             assert result.exit_code == 2, result.output
+            envelope = {"diagnostics": [
+                {"severity": d.severity.value, "code": d.code, "message": d.message,
+                 "file": d.file, "line": d.line, "column": d.column} for d in diags]}
+            assert json.loads(result.stdout) == envelope
+            trace_result, render_result = others
+            if trace_format == "json":
+                assert json.loads(trace_result.stdout) == envelope
+            else:
+                assert trace_result.stdout == ""
+            assert render_result.stdout == ""
             return
         failing = {"error", "warning"} if strict else {"error"}
         findings = json.loads(result.stdout)["findings"]

@@ -1,16 +1,17 @@
 """`parser._Loader` resolves node tags exactly as the safe loaders do.
 
-`_Loader` subclasses libyaml's `CSafeLoader` (PyYAML's pure-Python
-`SafeLoader` where libyaml is missing) and replaces the three resolver
-hooks that the composer calls once per node.  Every fixture and generated
-scalars compose to the same node kinds and tags under `_Loader`, under
-both safe loaders, and under the same hooks built on `SafeLoader`; so does
-the seeded mutation corpus of `test_parser_table.py`, against `SafeLoader`
-on one seed of four.  Under both lean loaders a document nested deeper
-than `parser.MAX_DEPTH` is a `yaml.YAMLError`, not a recursion error or a
-crash.  The last test pins how
-`parse_model` calls `yaml.compose`: through the module attribute, once per
-document, which the benchmark's `parser.compose_s` span relies on.
+`_Loader` mixes `parser._Lean`, which replaces the three resolver hooks
+that the composer calls once per node, into libyaml's `CSafeLoader`
+(PyYAML's pure-Python `SafeLoader` where libyaml is missing);
+`LeanSafeLoader` is the same mixin on `SafeLoader`.  Every fixture and
+generated scalars compose to the same node kinds and tags under both lean
+loaders and both safe loaders; so does the seeded mutation corpus of
+`test_parser_table.py`, against `SafeLoader` on one seed of four.  Under
+both lean loaders a document nested deeper than `parser.MAX_DEPTH` is a
+`yaml.YAMLError`, not a recursion error or a crash, and `parse_model`
+reads every fixture alike.  The last test pins how `parse_model` calls
+`yaml.compose`: through the module attribute, once per document, which
+the benchmark's `parser.compose_s` span relies on.
 """
 
 from __future__ import annotations
@@ -26,22 +27,16 @@ from gsnlint import parser
 from gsnlint.parser import parse_model
 
 from genmodels import NEST_SHAPES, nest
-from test_parser_table import fixture_documents, mutated_cases
+from test_parser_table import fixture_documents, mutated_cases, outcome
 
 
-class LeanSafeLoader(yaml.SafeLoader):
-    """The lean hooks on the pure-Python loader, as `_Loader` is built
-    without libyaml."""
-
-    resolve = parser._Loader.resolve
-
-    def __init__(self, stream):
-        super().__init__(stream)
-        self.descend_resolver, self.ascend_resolver = parser._depth_hooks()
+class LeanSafeLoader(parser._Lean, yaml.SafeLoader):
+    """The lean hooks on the pure-Python loader: `_Loader` as the package
+    builds it without libyaml."""
 
 
 #: Each lean loader and the loader it must agree with on every input.
-PAIRS = [(parser._Loader, parser._Loader.__bases__[0]), (LeanSafeLoader, yaml.SafeLoader)]
+PAIRS = [(parser._Loader, parser._Loader.__bases__[-1]), (LeanSafeLoader, yaml.SafeLoader)]
 ALL = tuple(dict.fromkeys(loader for pair in PAIRS for loader in pair))
 
 
@@ -78,7 +73,7 @@ def assert_same_tags(text: str, loaders=ALL) -> None:
 
 
 def test_lean_loader_builds_on_libyaml_where_present():
-    base = parser._Loader.__bases__[0]
+    base = parser._Loader.__bases__[-1]
     assert base is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
 
@@ -92,8 +87,8 @@ def test_fixtures_compose_to_the_same_tags():
 def test_mutation_corpus_composes_to_the_same_tags(seed):
     """`_Loader` against its base on every case, and against the pure-Python
     `SafeLoader`, ten times slower, on the first seed's cases."""
-    loaders = (parser._Loader, parser._Loader.__bases__[0]) + ((yaml.SafeLoader,) if seed == 0
-                                                                else ())
+    loaders = (parser._Loader, parser._Loader.__bases__[-1]) + ((yaml.SafeLoader,) if seed == 0
+                                                                 else ())
     for _, documents in mutated_cases(250, seed):
         for _, text in documents:
             assert_same_tags(text, loaders)
@@ -136,6 +131,21 @@ def test_lean_loaders_stop_at_the_depth_limit(loader, shape):
     for depth in (parser.MAX_DEPTH + 1, 50_000):
         with pytest.raises(yaml.YAMLError, match="nests deeper than"):
             yaml.compose(nest(shape, depth), Loader=loader)
+
+
+def test_parse_model_reads_alike_on_the_pure_python_backend(monkeypatch):
+    """Diagnostics, canonical dict and element locations of every fixture but
+    the syntax error, whose scanner messages differ between the backends."""
+    cases = [documents for name, documents in fixture_documents() if name != "syntax.sac"]
+    assert len(cases) == len(fixture_documents()) - 1
+
+    def outcomes():
+        return [outcome(parse_model, documents, lenient)
+                for documents in cases for lenient in (False, True)]
+
+    expected = outcomes()
+    monkeypatch.setattr(parser, "_Loader", LeanSafeLoader)
+    assert outcomes() == expected
 
 
 def test_parse_model_composes_each_document_once_with_the_lean_loader(monkeypatch):

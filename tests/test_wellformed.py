@@ -13,7 +13,7 @@ from gsnlint.model import (
     GsnModel,
     SourceLocation,
 )
-from gsnlint.parser import load_model
+from gsnlint.parser import load_model, parse_model
 from gsnlint.wellformed import LEGAL_SUPPORT_TARGETS, check_wellformed
 
 from conftest import FIXTURES
@@ -158,3 +158,38 @@ class TestGuardFindings:
              self._at(1)),
             ("WF3", "element 'G0' references unknown element 'GX'", ("G0", "GX"),
              self._at(1))]
+
+
+class TestContextualFindings:
+    """The WF6 finding for a contextual element that references further
+    context, and the WF9 finding for a context document on a non-contextual
+    element, pinned in full on parsed models."""
+
+    @staticmethod
+    def _findings(rule, *lines):
+        text = "\n".join(["model: {id: m}", "modules:", "  - id: main", "    elements:",
+                          *lines]) + "\n"
+        model, diags = parse_model([("m.sac.yaml", text)])
+        assert model is not None, diags
+        return [(f.rule, f.severity, f.message, f.elements, f.location)
+                for f in check_wellformed(model) if f.rule == rule]
+
+    def test_wf6_contextual_element_is_a_sink(self):
+        assert self._findings(
+            "WF6",
+            "      - {id: G1, kind: goal, text: claim, in_context_of: [C1], supported_by: [SN1]}",
+            "      - {id: C1, kind: context, text: scope, in_context_of: [A1]}",
+            "      - {id: A1, kind: assumption, text: premise}",
+            "      - {id: SN1, kind: solution, text: evidence}",
+        ) == [("WF6", Severity.ERROR, "context 'C1' is a sink and may not reference further "
+               "context", ("C1",), SourceLocation("m.sac.yaml", 6, 9))]
+
+    def test_wf9_context_document_on_a_goal(self):
+        assert self._findings(
+            "WF9",
+            "      - {id: G1, kind: goal, text: claim, supported_by: [SN1], artifacts: [D1]}",
+            "      - {id: SN1, kind: solution, text: evidence}",
+            "artifacts:",
+            "  - {id: D1, role: context_doc}",
+        ) == [("WF9", Severity.WARNING, "context document 'D1' referenced by goal 'G1'",
+               ("G1",), SourceLocation("m.sac.yaml", 5, 9))]
