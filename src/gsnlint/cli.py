@@ -48,6 +48,7 @@ def _load_or_exit(paths: tuple[str, ...], lenient: bool, as_json: bool = False):
     for diag in diags:
         click.echo(str(diag), err=True)
     if model is None:
+        click.get_current_context().meta["exit_code"] = 2  # kept if stdout closes early
         if as_json:
             click.echo(emit_diagnostics_json(diags))
         sys.exit(2)

@@ -31,6 +31,13 @@ def bad_fixture_paths() -> list[Path]:
     return sorted((FIXTURES / "bad").glob("*.sac.yaml"))
 
 
+def diagnostics_envelope(diags) -> dict:
+    """What `--format json` prints, parsed, for an input that reads as no model."""
+    return {"diagnostics": [
+        {"severity": d.severity.value, "code": d.code, "message": d.message,
+         "file": d.file, "line": d.line, "column": d.column} for d in diags]}
+
+
 @pytest.fixture(scope="session")
 def reference_model():
     return scaffold_reference_model()

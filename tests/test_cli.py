@@ -14,7 +14,7 @@ from gsnlint import cli
 from gsnlint.cli import main
 from gsnlint.parser import load_model
 
-from conftest import FIXTURES
+from conftest import FIXTURES, diagnostics_envelope
 from dotcheck import parse_dot
 
 
@@ -226,9 +226,7 @@ class TestJsonOnParseFailure:
         stderr = "".join(f"{d}\n" for d in diags)
         result = runner.invoke(main, self.COMMANDS[command] + ["--format", "json", path])
         assert result.exit_code == 2
-        assert json.loads(result.stdout) == {"diagnostics": [
-            {"severity": d.severity.value, "code": d.code, "message": d.message,
-             "file": d.file, "line": d.line, "column": d.column} for d in diags]}
+        assert json.loads(result.stdout) == diagnostics_envelope(diags)
         assert result.stderr == stderr
         text = runner.invoke(main, self.COMMANDS[command] + [path])
         assert (text.exit_code, text.stdout, text.stderr) == (2, "", stderr)
@@ -274,20 +272,34 @@ class TestRules:
 class TestClosedPipe:
     """A reader that stops early changes no exit code and prints nothing."""
 
+    @staticmethod
+    def run_into_closed_pipe(args) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(Path(gsnlint.__file__).parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run([sys.executable, "-m", "gsnlint.cli", *args],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+
     @pytest.mark.parametrize("args, code", [
         (["rules"], 0),
         (["check", fixture("28-scaffold-default.sac.yaml")], 0),
         (["check", fixture("22-root-only.sac.yaml")], 1),
     ])
     def test_exit_code_is_the_commands_own(self, args, code):
-        env = dict(os.environ, PYTHONPATH=str(Path(gsnlint.__file__).parents[1]))
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "gsnlint.cli", *args],
-                                  stdout=write_end, stderr=subprocess.PIPE,
-                                  env=env, timeout=120)
-        finally:
-            os.close(write_end)
+        proc = self.run_into_closed_pipe(args)
         assert proc.returncode == code
         assert proc.stderr == b""
+
+    @pytest.mark.parametrize("command", [["check"], ["trace", "hazards"]],
+                             ids=["check", "trace"])
+    def test_json_parse_failure_still_exits_two(self, command):
+        # The diagnostics still go to stderr; only the envelope meets the closed pipe.
+        path = fixture("bad/syntax.sac.yaml")
+        proc = self.run_into_closed_pipe(command + ["--format", "json", path])
+        assert proc.returncode == 2
+        _, diags = load_model([path])
+        assert proc.stderr.decode() == "".join(f"{d}\n" for d in diags)

@@ -45,7 +45,7 @@ from gsnlint.parser import load_model, parse_model
 from gsnlint.rules import evaluate, make_profile
 from gsnlint.wellformed import _GUARD_RULES, LEGAL_SUPPORT_TARGETS, check_wellformed
 
-from conftest import FIXTURES, good_fixture_groups
+from conftest import FIXTURES, diagnostics_envelope, good_fixture_groups
 from genmodels import big_model, random_model
 
 
@@ -538,9 +538,7 @@ class TestExitCodes:
         assert result.exit_code != 3, result.output
         if model is None:
             assert result.exit_code == 2, result.output
-            envelope = {"diagnostics": [
-                {"severity": d.severity.value, "code": d.code, "message": d.message,
-                 "file": d.file, "line": d.line, "column": d.column} for d in diags]}
+            envelope = diagnostics_envelope(diags)
             assert json.loads(result.stdout) == envelope
             trace_result, render_result = others
             if trace_format == "json":
