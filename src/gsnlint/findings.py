@@ -15,7 +15,7 @@ class Severity(str, enum.Enum):
     INFO = "info"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     rule: str
     severity: Severity

@@ -97,21 +97,21 @@ DEFAULT_CONTEXT_DIMENSIONS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLocation:
     file: str
     line: int
     column: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssuranceClaimPoint:
     target: str
     relation: AcpRelation
     confidence_goal: str
 
 
-@dataclass
+@dataclass(slots=True)
 class GsnElement:
     id: str
     kind: ElementKind
@@ -136,33 +136,37 @@ class GsnElement:
         self.acps = tuple(self.acps)
 
 
-@dataclass
+@dataclass(slots=True)
 class Hazard:
     id: str
     description: str = ""
     status: HazardStatus = HazardStatus.OPEN
+    location: Optional[SourceLocation] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RegulatoryRequirement:
     id: str
     source: str = ""
     text: str = ""
+    location: Optional[SourceLocation] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class NormativeRequirement:
     id: str
     source: str = ""
     text: str = ""
     selection_rationale: Optional[str] = None
+    location: Optional[SourceLocation] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RiskAcceptanceCriterion:
     id: str
     level: RacLevel = RacLevel.GLOBAL
     text: str = ""
+    location: Optional[SourceLocation] = None
 
 
 #: The traceable registries, in schema order: registry name -> item class.
@@ -174,7 +178,7 @@ REGISTRY_ITEMS: dict[str, type] = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Registries:
     hazards: list[Hazard] = field(default_factory=list)
     regulatory_requirements: list[RegulatoryRequirement] = field(default_factory=list)
@@ -190,16 +194,17 @@ class Registries:
         return [item.id for item in getattr(self, registry_name)]
 
 
-@dataclass
+@dataclass(slots=True)
 class Artifact:
     id: str
     role: ArtifactRole
     title: str = ""
     uri: str = ""
     dimension: Optional[str] = None
+    location: Optional[SourceLocation] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class GsnModule:
     id: str
     elements: list[GsnElement] = field(default_factory=list)
@@ -213,14 +218,14 @@ class UnknownRegistryError(KeyError):
     """Raised for a registry name outside the traceable registry set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructuralProblem:
     """One reason a set of modules cannot form a linked model.
 
-    `location` is where the element the problem is about was declared: the
-    repeated copy for a duplicate id, the owning element for an unresolved
-    or repeated reference or an invalid assurance claim point, and the first
-    element of a cycle.  It is ``None`` for elements built without a location.
+    `location` is where the record the problem is about was declared: the
+    repeated copy for a duplicate id, the owning element for an unresolved or
+    repeated reference or an invalid assurance claim point, and the first
+    element of a cycle.  It is ``None`` for records built without a location.
     """
 
     code: str  # duplicate-id | unresolved-ref | duplicate-ref | cycle | invalid-acp
@@ -245,17 +250,22 @@ def find_structural_problems(model: GsnModel) -> list[StructuralProblem]:
 
 
 def _scan_structure(model: GsnModel) -> tuple[StructuralProblem, ...]:
-    """The structural guard, from the model's cached views: `index`, where
-    the first copy of an id wins, and the cycles of its support walk."""
+    """The structural guard, and the one check that ids are unique (elements,
+    each registry's items, artifacts), from the model's cached views: `index`,
+    where the first copy of an id wins, and the cycles of its support walk."""
     problems: list[StructuralProblem] = []
     index = model.index
-    seen: set[str] = set()
-    for element in model.iter_elements():
-        if element.id in seen:
-            problems.append(StructuralProblem(
-                "duplicate-id", f"duplicate element id '{element.id}'", (element.id,),
-                element.location))
-        seen.add(element.id)
+    for message, records in (("element id '{}'", model.iter_elements()),
+                             *((f"id '{{}}' in registry '{name}'", getattr(model.registries, name))
+                               for name in REGISTRY_ITEMS),
+                             ("id '{}' in artifacts", model.artifacts)):
+        seen: set[str] = set()
+        for record in records:
+            if record.id in seen:
+                problems.append(StructuralProblem(
+                    "duplicate-id", "duplicate " + message.format(record.id), (record.id,),
+                    record.location))
+            seen.add(record.id)
 
     for element in index.values():
         for ref in (*element.supported_by, *element.in_context_of):

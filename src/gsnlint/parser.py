@@ -17,9 +17,9 @@ booleans, enumerations, lists of them, and specs themselves are readers.
 Fields that read as ``None`` are left to the dataclass default.  A key
 repeated in one mapping is an Error `duplicate-key`, even when lenient,
 and its second value is not read, unless its `_Key` appends (module
-elements, registry lists, context dimensions).  An artifact id, or an item
-id within one registry, that an earlier entry of any document already
-had is an Error `duplicate-id` at the repeated entry.  Each collection's
+elements, registry lists, context dimensions).  Elements, registry items
+and artifacts keep their mapping's location: the structural guard reports
+a repeated id there, after every per-document diagnostic.  Each collection's
 entries are detached from its node when it is read, and each sequence
 entry leaves its list before it is read, so the node tree is freed while
 the model grows; a collection that a YAML alias brings back is then an
@@ -112,12 +112,10 @@ _BOOL_VALUES = yaml.constructor.SafeConstructor.bool_values
 class _DocParser:
     """Per-document node-tree walker accumulating diagnostics."""
 
-    def __init__(self, path: str, lenient: bool, diags: list[ParseDiagnostic],
-                 ids: dict[str, set[str]]):
+    def __init__(self, path: str, lenient: bool, diags: list[ParseDiagnostic]):
         self.path = path
         self.lenient = lenient
         self.diags = diags
-        self.ids = ids  # ids read so far per unique namespace, across documents
 
     # -- diagnostics --------------------------------------------------
 
@@ -216,13 +214,7 @@ class _DocParser:
             return None
         if None in values.values():
             values = {k: v for k, v in values.items() if v is not None}
-        built = spec.build(**values)
-        if spec.unique:
-            seen = self.ids.setdefault(spec.unique, set())
-            if built.id in seen:
-                self.error(node, "duplicate-id", f"duplicate id '{built.id}' in {spec.unique}")
-            seen.add(built.id)
-        return built
+        return spec.build(**values)
 
 
 def _key_name(node) -> str:
@@ -256,7 +248,6 @@ class _Spec:
     keys: dict[str, _Key]
     required: tuple[str, ...] = ()
     located: bool = False  # pass the mapping's SourceLocation as `location`
-    unique: str = ""  # where `id` must be unique across documents, as `duplicate-id` names it
 
     @property
     def missing_message(self) -> str:
@@ -277,10 +268,10 @@ def _list(read: _Reader, entry_label: Optional[str] = None) -> _Reader:
     return lambda parser, node, label: parser.records(node, label, read, entry_label)
 
 
-def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...],
-                    unique: str = "") -> _Spec:
+def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...]) -> _Spec:
     """A spec whose keys are `cls`'s fields: enum-typed ones read as enums,
-    the rest as scalars; `label` is formatted with the key."""
+    the rest as scalars; `label` is formatted with the key.  A `location`
+    field is no key: the record is read `located`."""
     hints = get_type_hints(cls)
     keys = {}
     for f in fields(cls):
@@ -288,7 +279,8 @@ def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...],
         read = (_enum(kind) if isinstance(kind, type) and issubclass(kind, enum.Enum)
                 else _DocParser.string)
         keys[f.name] = _Key(f.name, read, label.format(f.name))
-    return _Spec(where, cls, keys, required, unique=unique)
+    located = keys.pop("location", None) is not None
+    return _Spec(where, cls, keys, required, located=located)
 
 
 _STRINGS = _list(_DocParser.string)
@@ -316,16 +308,14 @@ _MODULE = _Spec("module entry", GsnModule, {
 }, required=("id",))
 
 _REGISTRIES = _Spec("registries", dict, {
-    **{name: _Key(name, _list(_dataclass_spec(item_cls, "registry item", "{}", ("id",),
-                                              unique=f"registry '{name}'")),
+    **{name: _Key(name, _list(_dataclass_spec(item_cls, "registry item", "{}", ("id",))),
                   name, append=True)
        for name, item_cls in REGISTRY_ITEMS.items()},
     "context_dimensions": _Key("context_dimensions", _STRINGS, "context_dimensions",
                                append=True),
 })
 
-_ARTIFACT = _dataclass_spec(Artifact, "artifact entry", "artifact {}", ("id", "role"),
-                            unique="artifacts")
+_ARTIFACT = _dataclass_spec(Artifact, "artifact entry", "artifact {}", ("id", "role"))
 
 _HEADER = _Spec("model header", dict, {
     "id": _Key("id", _DocParser.string, "model id"),
@@ -373,10 +363,9 @@ def _parse_documents(
     modules: list[GsnModule] = []
     registries: dict[str, list] = {}
     artifacts: list[Artifact] = []
-    ids: dict[str, set[str]] = {}
 
     for path, text in documents:
-        parser = _DocParser(path, lenient, diags, ids)
+        parser = _DocParser(path, lenient, diags)
         try:
             root = yaml.compose(text, Loader=_Loader)
         except yaml.YAMLError as exc:

@@ -117,7 +117,7 @@ CATALOG: dict[str, RuleDescriptor] = {d.id: d for d in [
         "GSN community standard", "The supported_by relation contains no cycle."),
     RuleDescriptor(
         "WF2", "Unique element identifiers", Severity.ERROR,
-        "GSN community standard", "Element ids are unique across all modules."),
+        "GSN community standard", "Element, artifact and registry-item ids are unique."),
     RuleDescriptor(
         "WF3", "References resolve", Severity.ERROR,
         "GSN community standard",

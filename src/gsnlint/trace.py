@@ -25,7 +25,7 @@ REGISTRY_SUBSETS: dict[str, ArgumentType] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     item_id: str
     covering_elements: tuple[str, ...]
@@ -36,7 +36,7 @@ class TraceRow:
         return bool(self.covering_elements)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceMatrix:
     registry_name: str
     rows: tuple[TraceRow, ...]

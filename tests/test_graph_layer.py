@@ -29,13 +29,17 @@ from gsnlint import model as model_module
 from gsnlint.cli import main
 from gsnlint.findings import Severity
 from gsnlint.model import (
+    REGISTRY_ITEMS,
     AcpRelation,
     ArgumentType,
+    Artifact,
+    ArtifactRole,
     AssuranceClaimPoint,
     ElementKind,
     GsnElement,
     GsnModel,
     GsnModule,
+    Registries,
     RoleTag,
     _walk,
     find_structural_problems,
@@ -242,14 +246,24 @@ class TestStructuralGuards:
                     rng.choice(targets), rng.choice(list(AcpRelation)), rng.choice(targets)),)
             rng.shuffle(elements)
             split = rng.randint(0, len(elements))
+            # A registry item or an artifact repeated, sometimes.
+            registries = Registries(**{name: [cls(f"{name}-{i}") for i in range(2)]
+                                       for name, cls in REGISTRY_ITEMS.items()})
+            artifacts = [Artifact(f"A{i}", ArtifactRole.EVIDENCE) for i in range(2)]
+            records = rng.choice([*(getattr(registries, name) for name in REGISTRY_ITEMS),
+                                  artifacts, [], [], [], []])
+            if records:
+                records.insert(rng.randint(0, 2), replace(rng.choice(records)))
             model = GsnModel("case", modules=[GsnModule("a", elements[:split]),
-                                              GsnModule("b", elements[split:])])
+                                              GsnModule("b", elements[split:])],
+                             registries=registries, artifacts=artifacts)
             expected = sorted((_GUARD_RULES[p.code], Severity.ERROR, p.message, p.elements)
                               for p in find_structural_problems(model))
             found = sorted((f.rule, f.severity, f.message, f.elements)
                            for f in evaluate(model, profile)
                            if f.rule in ("WF1", "WF2", "WF3"))
             assert found == expected, elements
+            assert sum(m.startswith("duplicate id ") for _, _, m, _ in expected) == bool(records)
 
     def test_an_element_listed_twice_is_a_duplicate(self):
         element = GsnElement("G1", ElementKind.GOAL)

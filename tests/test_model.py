@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
+from gsnlint.findings import Finding, Severity
 from gsnlint.model import (
     AcpRelation,
     ArgumentType,
@@ -25,6 +27,7 @@ from gsnlint.model import (
     RiskAcceptanceCriterion,
     RoleTag,
     SourceLocation,
+    StructuralProblem,
     UnknownIdError,
     canonical_dict,
     link_model,
@@ -32,7 +35,8 @@ from gsnlint.model import (
 from gsnlint.parser import load_model
 from gsnlint.report import render_dot
 from gsnlint.rules import evaluate, make_profile
-from gsnlint.trace import trace_registry
+from gsnlint.scaffold import scaffold_reference_model
+from gsnlint.trace import TraceMatrix, TraceRow, trace_registry
 from gsnlint.wellformed import check_wellformed
 from conftest import good_fixture_groups
 from genmodels import random_model
@@ -218,6 +222,42 @@ class TestLinking:
             link_model("m", modules=[GsnModule("a", [goal("G1"), goal("G1")])])
         assert any(p.code == "duplicate-id" for p in exc.value.problems)
 
+    @pytest.mark.parametrize("registries, artifacts, repeated, message", [
+        (Registries(hazards=[Hazard("H1"), Hazard("H1", status=HazardStatus.MANAGED)]), [],
+         "H1", "duplicate id 'H1' in registry 'hazards'"),
+        (Registries(), [Artifact("A1", ArtifactRole.CONTEXT_DOC),
+                        Artifact("A1", ArtifactRole.EVIDENCE)],
+         "A1", "duplicate id 'A1' in artifacts"),
+    ], ids=["hazard", "artifact"])
+    def test_repeated_item_or_artifact_id_rejected(self, registries, artifacts, repeated,
+                                                   message):
+        with pytest.raises(ModelError) as exc:
+            link_model("m", modules=[GsnModule("a", [goal("G1")])],
+                       registries=registries, artifacts=artifacts)
+        assert [(p.code, p.message, p.elements) for p in exc.value.problems] == [
+            ("duplicate-id", message, (repeated,))]
+
+    def test_repeated_hazard_is_one_wf2_error(self):
+        """Not the two identical R6 Errors that judging both copies gives."""
+        reference = scaffold_reference_model()
+        registries = replace(reference.registries,
+                             hazards=[*reference.registries.hazards, Hazard("HX"), Hazard("HX")])
+        model = GsnModel(reference.id, modules=reference.modules, registries=registries,
+                         artifacts=reference.artifacts)
+        errors = [(f.rule, f.message) for f in evaluate(model, make_profile("all"))
+                  if f.severity is Severity.ERROR]
+        assert errors == [("WF2", "duplicate id 'HX' in registry 'hazards'")]
+
+    def test_repeated_artifact_is_wf2_not_wf9_on_its_first_copy(self):
+        reference = scaffold_reference_model()
+        evidence = next(a for a in reference.artifacts if a.role is ArtifactRole.EVIDENCE)
+        model = GsnModel(reference.id, modules=reference.modules,
+                         registries=reference.registries,
+                         artifacts=[replace(evidence, role=ArtifactRole.CONTEXT_DOC),
+                                    *reference.artifacts])
+        assert [(f.rule, f.message) for f in check_wellformed(model)] == [
+            ("WF2", f"duplicate id '{evidence.id}' in artifacts")]
+
     def test_unresolved_reference_rejected(self):
         with pytest.raises(ModelError) as exc:
             link_model("m", modules=[GsnModule("a", [
@@ -388,13 +428,16 @@ class TestRecordWriter:
 
     def test_registry_items_and_artifact_every_field_set(self):
         out = _canonical(
-            hazards=[Hazard("H1", "fall", HazardStatus.MANAGED)],
-            regulatory_requirements=[RegulatoryRequirement("RR1", "law", "be safe")],
-            normative_requirements=[NormativeRequirement("NR1", "ISO", "do x", "chosen")],
+            hazards=[Hazard("H1", "fall", HazardStatus.MANAGED, self.LOCATION)],
+            regulatory_requirements=[
+                RegulatoryRequirement("RR1", "law", "be safe", self.LOCATION)],
+            normative_requirements=[
+                NormativeRequirement("NR1", "ISO", "do x", "chosen", self.LOCATION)],
             risk_acceptance_criteria=[
-                RiskAcceptanceCriterion("RAC1", RacLevel.SCENARIO, "rare")],
+                RiskAcceptanceCriterion("RAC1", RacLevel.SCENARIO, "rare", self.LOCATION)],
             context_dimensions=["odd"],
-            artifacts=[Artifact("A1", ArtifactRole.CONTEXT_DOC, "ODD", "odd.pdf", "odd")])
+            artifacts=[Artifact("A1", ArtifactRole.CONTEXT_DOC, "ODD", "odd.pdf", "odd",
+                                self.LOCATION)])
         assert _exact(out["registries"], {
             "hazards": [{"id": "H1", "description": "fall", "status": "managed"}],
             "regulatory_requirements": [
@@ -434,3 +477,15 @@ class TestRecordWriter:
                   ("hand-built", GsnModel("m", modules=[GsnModule("a", [located])]))]
         for name, model in models:
             assert "location" not in _all_keys(canonical_dict(model)), name
+
+
+def test_records_are_slotted():
+    """Every record class but `GsnModel`, whose cached views need a `__dict__`."""
+    records = [
+        SourceLocation("m.sac.yaml", 1), AssuranceClaimPoint("G2", AcpRelation.SUPPORTED_BY, "G3"),
+        goal("G1"), Hazard("H1"), RegulatoryRequirement("RR1"), NormativeRequirement("NR1"),
+        RiskAcceptanceCriterion("RAC1"), Registries(), Artifact("A1", ArtifactRole.EVIDENCE),
+        GsnModule("a"), StructuralProblem("cycle", "c"), Finding("R1", Severity.ERROR, "m"),
+        TraceRow("H1", (), False), TraceMatrix("hazards", (), 1.0, True)]
+    for record in records:
+        assert "__slots__" in vars(type(record)) and not hasattr(record, "__dict__"), record

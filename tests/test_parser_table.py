@@ -3,7 +3,8 @@
 `ReferenceDocParser` and `reference_parse_model` below are the per-record
 `if/elif` walkers that `parser._Spec` tables and `_DocParser.record`
 replaced.  Both parsers read the same documents; their diagnostics (in
-order), canonical dicts and element locations must be equal.  The corpus
+order), canonical dicts and the locations of every element, registry item
+and artifact must be equal.  The corpus
 is every fixture, strict and lenient, seeded mutations of the fixtures,
 fixtures with anchors and aliases at random collection positions, and
 text-level cases for repeated keys, aliases and empty versions.
@@ -13,7 +14,8 @@ key, in strict and lenient mode alike, except where the repetition
 appends (module `elements`, the registry lists, `context_dimensions`);
 the first value stands.  An artifact id, or an item id within one
 registry, that an earlier entry of any document had is an Error
-`duplicate-id` at the repeated entry.  Each YAML collection is read at most
+`duplicate-id` at the repeated entry, reported with the structural problems
+after the repeated element ids.  Each YAML collection is read at most
 once: one that an alias brings back is an Error `alias` at the collection,
 which the reference finds with a set of the collections it has read.
 """
@@ -68,17 +70,20 @@ _ARTIFACT_KEYS = {"id", "role", "title", "uri", "dimension"}
 _ELEMENT_KEYS = {"id", "kind", "text", "undeveloped", "argument_type", "roles",
                  "supported_by", "in_context_of", "traces", "artifacts", "acp"}
 _HEADER_KEYS = {"id", "version", "fragmentary"}
+_REGISTRY_NAMES = ("hazards", "regulatory_requirements", "normative_requirements",
+                   "risk_acceptance_criteria")
 
 
 class ReferenceDocParser:
     """The hand-written per-record walkers the spec tables replaced."""
 
     def __init__(self, path: str, lenient: bool, diags: list[ParseDiagnostic],
-                 seen_ids: dict[str, set]):
+                 seen_ids: dict[str, set], repeated_ids: dict[str, list]):
         self.path = path
         self.lenient = lenient
         self.diags = diags
         self.seen_ids = seen_ids
+        self.repeated_ids = repeated_ids
         self.visited: set[int] = set()  # ids of the collections read; the tree outlives the walk
 
     # -- diagnostics --------------------------------------------------
@@ -111,10 +116,14 @@ class ReferenceDocParser:
         return False
 
     def repeated_id(self, node, item_id: str, where: str) -> None:
-        """Report `item_id` when an earlier entry, in any document, had it."""
+        """Keep `item_id`'s diagnostic, reported after the structural guard's
+        repeated element ids, when an earlier entry, in any document, had it."""
         seen = self.seen_ids.setdefault(where, set())
         if item_id in seen:
-            self.error(node, "duplicate-id", f"duplicate id '{item_id}' in {where}")
+            line, col = self._loc(node)
+            self.repeated_ids.setdefault(where, []).append(ParseDiagnostic(
+                Severity.ERROR, "duplicate-id", f"duplicate id '{item_id}' in {where}",
+                self.path, line, col))
         seen.add(item_id)
 
     def location(self, node) -> SourceLocation:
@@ -301,7 +310,7 @@ class ReferenceDocParser:
             return None
         fields = {k: v for k, v in fields.items() if v is not None}
         self.repeated_id(node, fields["id"], f"registry '{registry}'")
-        return item_cls(**fields)
+        return item_cls(**fields, location=self.location(node))
 
     def registries(self, node, registries: Registries, dims_declared: list[bool]) -> None:
         items = self.mapping(node, "registries")
@@ -363,7 +372,8 @@ class ReferenceDocParser:
                 self.error(node, "missing-key", "artifact entry requires 'id' and 'role'")
             return None
         self.repeated_id(node, fields["id"], "artifacts")
-        return Artifact(**{k: v for k, v in fields.items() if v is not None})
+        return Artifact(**{k: v for k, v in fields.items() if v is not None},
+                        location=self.location(node))
 
 
 def reference_parse_model(
@@ -391,9 +401,10 @@ def reference_parse_model(
     element_locations: dict[str, SourceLocation] = {}
     duplicate_locations: dict[str, SourceLocation] = {}
     seen_ids: dict[str, set] = {}
+    repeated_ids: dict[str, list] = {}  # namespace -> its duplicate-id diagnostics
 
     for path, text in documents:
-        parser = ReferenceDocParser(path, lenient, diags, seen_ids)
+        parser = ReferenceDocParser(path, lenient, diags, seen_ids, repeated_ids)
         try:
             root = yaml.compose(text, Loader=_Loader)
         except yaml.YAMLError as exc:
@@ -465,6 +476,7 @@ def reference_parse_model(
             Severity.ERROR, "model-header", "no model header found in any document",
             documents[0][0]))
 
+    structural: list[ParseDiagnostic] = []
     for problem in find_structural_problems(GsnModel("", modules=modules)):
         loc = None
         if problem.code == "duplicate-id" and problem.elements:
@@ -474,11 +486,17 @@ def reference_parse_model(
                 loc = element_locations.get(eid)
                 if loc is not None:
                     break
-        diags.append(ParseDiagnostic(
+        structural.append(ParseDiagnostic(
             Severity.ERROR, problem.code, problem.message,
             loc.file if loc else documents[0][0],
             loc.line if loc else 1,
             loc.column if loc else 1))
+    # Repeated item and artifact ids go after the repeated element ids, which come first.
+    cut = sum(d.code == "duplicate-id" for d in structural)
+    diags += structural[:cut]
+    for where in (*(f"registry '{name}'" for name in _REGISTRY_NAMES), "artifacts"):
+        diags += repeated_ids.get(where, [])
+    diags += structural[cut:]
 
     if any(d.severity is Severity.ERROR for d in diags):
         return None, diags
@@ -500,12 +518,16 @@ def reference_parse_model(
 
 
 def outcome(parse, documents: list[tuple[str, str]], lenient: bool):
-    """Diagnostics in order, the canonical dict, and every element's location."""
+    """Diagnostics in order, the canonical dict, and the location of every
+    element, registry item and artifact."""
     model, diags = parse(documents, lenient=lenient)
     diag_tuples = [(d.severity, d.code, d.message, d.file, d.line, d.column) for d in diags]
     if model is None:
         return diag_tuples, None, None
     locations = [(m.id, e.id, e.location) for m in model.modules for e in m.elements]
+    locations += [(name, item.id, item.location) for name in _REGISTRY_NAMES
+                  for item in getattr(model.registries, name)]
+    locations += [("artifacts", a.id, a.location) for a in model.artifacts]
     return diag_tuples, canonical_dict(model), locations
 
 
@@ -782,3 +804,17 @@ def test_text_level_aliases_match_reference(text):
 def test_empty_version_reads_as_zero(version):
     model = parse_same(f"model:\n  id: demo\n  {version}\n")
     assert model.version == "0"
+
+
+@pytest.mark.parametrize("where, text", [
+    ("registry item", HEADER + "registries:\n  hazards:\n    - {id: H1, location: x}\n"),
+    ("artifact entry", HEADER + "artifacts:\n  - {id: A1, role: evidence, location: x}\n"),
+])
+def test_location_is_no_key_of_a_located_record(where, text):
+    documents = [("case.sac.yaml", text)]
+    assert_same(documents, text)
+    for lenient, severity in ((False, Severity.ERROR), (True, Severity.WARNING)):
+        model, diags = parse_model(documents, lenient=lenient)
+        assert [(d.severity, d.code, d.message) for d in diags] == [
+            (severity, "unknown-key", f"unknown key 'location' in {where}")]
+        assert (model is None) is not lenient
