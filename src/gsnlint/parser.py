@@ -1,9 +1,12 @@
 """Reader and writer for the `.sac.yaml` argumentation model format.
 
-Documents are composed into YAML node trees (not plain-loaded) so every
-diagnostic can point at the line and column of the offending construct.
-All diagnostics in a batch of documents are collected before giving up;
-a model is only produced when no Error-level diagnostic was found.
+Documents are composed into lean node trees (not plain-loaded) so every
+diagnostic can point at the line and column of the offending construct:
+`_Lean` builds one slotted `_Node` per YAML node from the loader's events,
+with no `Mark` objects, and `parse_model` still composes through
+`yaml.compose`.  All diagnostics in a batch of documents are collected
+before giving up; a model is only produced when no Error-level diagnostic
+was found.
 
 Parsing is table-driven.  Each record kind (element, assurance claim
 point, module, the four registry items, artifact, model header, and the
@@ -23,8 +26,8 @@ a repeated id there, after every per-document diagnostic.  Each collection's
 entries are detached from its node when it is read, and each sequence
 entry leaves its list before it is read, so the node tree is freed while
 the model grows; a collection that a YAML alias brings back is then an
-Error `alias` at the collection itself, since libyaml keeps no position
-for the alias.
+Error `alias` at the collection itself, since an alias composes to the
+anchored node and keeps no position of its own.
 """
 
 from __future__ import annotations
@@ -56,50 +59,109 @@ from .model import (
 )
 
 
-#: The deepest a document's nodes may nest (a valid model nests 8 deep): the
-#: composers recurse per level, PyYAML's into RecursionError from about 500.
+#: The deepest a document's nodes may nest (a valid model nests 8 deep).  The
+#: composer keeps its own stack and does not recurse, but the limit stays the
+#: documented contract: a deeper document is refused as it is composed.
 MAX_DEPTH = 256
+
+_SCALAR, _SEQUENCE, _MAPPING = yaml.ScalarNode, yaml.SequenceNode, yaml.MappingNode
+_Resolver = yaml.resolver.BaseResolver
+#: The kind and default tag of the node that each kind of event starts.
+_KINDS = {yaml.ScalarEvent: (_SCALAR, _Resolver.DEFAULT_SCALAR_TAG),
+          yaml.SequenceStartEvent: (_SEQUENCE, _Resolver.DEFAULT_SEQUENCE_TAG),
+          yaml.MappingStartEvent: (_MAPPING, _Resolver.DEFAULT_MAPPING_TAG)}
+
+
+class _Node:
+    """One composed YAML node.  `kind` is `yaml.ScalarNode`, `yaml.SequenceNode`
+    or `yaml.MappingNode`; `value` is a scalar's text, a sequence's entries, or
+    a mapping's keys and values in turn in one flat list; `line` and `column`
+    are 0-based, where the node starts.  The composer sets the fields one by
+    one: a Python `__init__` would cost twice as much per node."""
+
+    __slots__ = ("kind", "tag", "value", "line", "column")
 
 
 class _Lean:
-    """Lean resolver hooks for a safe loader.  No path resolvers are
-    registered, so the `descend_resolver` and `ascend_resolver` that compose
-    calls per node only count this loader's nesting depth, as closures
-    (cheaper per node than methods), and stop at the collection crossing
-    `MAX_DEPTH`; `resolve` reads the implicit resolvers' first-character
-    table without copying it."""
+    """A composer for a safe loader that builds `_Node`s from the loader's own
+    events: one slotted node per YAML node and no `Mark` kept, with an
+    explicit stack of the open collections in place of recursion.  Tags
+    resolve as the safe loaders resolve them.  It refuses what libyaml's
+    composer refuses, with libyaml's messages and marks (an undefined alias,
+    a duplicate anchor, a second document), and a node deeper than
+    `MAX_DEPTH` at the start of the collection that holds it."""
 
-    def __init__(self, stream):
-        super().__init__(stream)
-        depth = 0
+    def get_single_node(self) -> Optional[_Node]:
+        get_event = self.get_event
+        get_event()  # the stream start
+        event = get_event()
+        root = None
+        if type(event) is yaml.DocumentStartEvent:
+            event = get_event()
+            root_mark = event.start_mark
+            root = self._compose(event)
+            get_event()  # the document end
+            event = get_event()
+        if type(event) is not yaml.StreamEndEvent:
+            raise yaml.composer.ComposerError(
+                "expected a single document in the stream", root_mark,
+                "but found another document", event.start_mark)
+        return root
 
-        def descend_resolver(current_node, current_index):
-            nonlocal depth
-            depth += 1
-            if depth > MAX_DEPTH:
-                raise yaml.composer.ComposerError(
-                    None, None, f"document nests deeper than {MAX_DEPTH} levels",
-                    current_node.start_mark)
-
-        def ascend_resolver():
-            nonlocal depth
-            depth -= 1
-
-        self.descend_resolver, self.ascend_resolver = descend_resolver, ascend_resolver
-
-    def resolve(self, kind, value, implicit):
-        if kind is not yaml.ScalarNode:
-            return (self.DEFAULT_SEQUENCE_TAG if kind is yaml.SequenceNode
-                    else self.DEFAULT_MAPPING_TAG)
-        if implicit[0]:
-            for tag, regexp in self.yaml_implicit_resolvers.get(value[:1], ()):
-                if regexp.match(value):
-                    return tag
-        return self.DEFAULT_SCALAR_TAG
+    def _compose(self, event) -> _Node:
+        """The node that `event` starts, read to its last event."""
+        get_event, resolvers = self.get_event, self.yaml_implicit_resolvers
+        anchors: dict = {}  # anchor -> (its node, its start mark)
+        stack: list = []  # per open collection: its parent's entries, its start mark
+        entries: list = []  # the innermost open collection's entries
+        while True:
+            kind_tag = _KINDS.get(type(event))
+            if kind_tag is None:
+                if type(event) is yaml.AliasEvent:
+                    if event.anchor not in anchors:
+                        raise yaml.composer.ComposerError(
+                            None, None, "found undefined alias", event.start_mark)
+                    entries.append(anchors[event.anchor][0])
+                else:  # the end of the innermost collection
+                    entries = stack.pop()[0]
+            else:
+                kind, tag = kind_tag
+                mark, anchor = event.start_mark, event.anchor
+                if anchor in anchors:
+                    raise yaml.composer.ComposerError(
+                        "found duplicate anchor; first occurrence", anchors[anchor][1],
+                        "second occurrence", mark)
+                if len(stack) >= MAX_DEPTH:
+                    raise yaml.composer.ComposerError(
+                        None, None, f"document nests deeper than {MAX_DEPTH} levels",
+                        stack[-1][1])
+                explicit = event.tag
+                if explicit is not None and explicit != "!":
+                    tag = explicit
+                elif kind is _SCALAR and event.implicit[0]:
+                    value = event.value
+                    for resolved, regexp in resolvers.get(value[:1], ()):
+                        if regexp.match(value):
+                            tag = resolved
+                            break
+                node = _Node()
+                node.kind, node.tag, node.line, node.column = kind, tag, mark.line, mark.column
+                entries.append(node)
+                if kind is _SCALAR:
+                    node.value = event.value
+                else:
+                    node.value = []
+                    stack.append((entries, mark))
+                    entries = node.value
+                if anchor is not None:
+                    anchors[anchor] = node, mark
+            if not stack:
+                return entries[0]
+            event = get_event()
 
 
 class _Loader(_Lean, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The lean hooks on libyaml's safe loader, or PyYAML's where it is missing."""
+    """The lean composer on libyaml's safe loader, or PyYAML's where it is missing."""
 
 
 _CDumper = getattr(yaml, "CSafeDumper", None)
@@ -128,17 +190,16 @@ class _DocParser:
                    Severity.WARNING if self.lenient else Severity.ERROR)
 
     def location(self, node) -> SourceLocation:
-        mark = node.start_mark
-        return SourceLocation(self.path, mark.line + 1, mark.column + 1)
+        return SourceLocation(self.path, node.line + 1, node.column + 1)
 
     # -- node coercion ------------------------------------------------
 
     def take(self, node, kind, where: str) -> Optional[list]:
-        """The entries of a `kind` collection node (the (key node, value node)
-        pairs of a mapping), detached from it; ``None`` and `bad-type` for
+        """The entries of a `kind` collection node (a mapping's keys and
+        values in turn), detached from it; ``None`` and `bad-type` for
         another node, or `alias` when an alias brings back a collection
         already taken."""
-        if not isinstance(node, kind):
+        if node.kind is not kind:
             self.error(node, "bad-type", f"{where} must be a {kind.id}")
             return None
         value = node.value
@@ -149,13 +210,13 @@ class _DocParser:
         return value
 
     def string(self, node, where: str) -> Optional[str]:
-        if not isinstance(node, yaml.ScalarNode) or node.tag.endswith((":map", ":seq")):
+        if node.kind is not _SCALAR or node.tag.endswith((":map", ":seq")):
             self.error(node, "bad-type", f"{where} must be a scalar")
             return None
         return node.value
 
     def boolean(self, node, where: str) -> Optional[bool]:
-        if isinstance(node, yaml.ScalarNode) and node.tag == "tag:yaml.org,2002:bool":
+        if node.kind is _SCALAR and node.tag == "tag:yaml.org,2002:bool":
             value = _BOOL_VALUES.get(node.value.lower())
             if value is not None:
                 return value
@@ -179,7 +240,7 @@ class _DocParser:
                 entry_where: Optional[str] = None) -> list:
         """Read every entry of a sequence; entries that do not read are skipped."""
         entry_where = entry_where or f"entry of {where}"
-        entries = self.take(node, yaml.SequenceNode, where) or ()
+        entries = self.take(node, _SEQUENCE, where) or ()
         out = []
         for i, entry in enumerate(entries):
             entries[i] = None  # lower peak RSS: the model reuses each freed entry
@@ -190,12 +251,12 @@ class _DocParser:
 
     def record(self, node, spec: _Spec):
         """Read one mapping against `spec`; ``None`` when it cannot be built."""
-        pairs = self.take(node, yaml.MappingNode, spec.where)
-        if pairs is None:
+        entries = self.take(node, _MAPPING, spec.where)
+        if entries is None:
             return None
         values: dict = {"location": self.location(node)} if spec.located else {}
         keys = spec.keys
-        for key_node, value_node in pairs:
+        for key_node, value_node in _pairs(entries):
             key = _key_name(key_node)
             entry = keys.get(key)
             if entry is None:
@@ -219,10 +280,16 @@ class _DocParser:
 
 def _key_name(node) -> str:
     """A mapping key as the spec tables and diagnostics name it."""
-    return node.value if isinstance(node, yaml.ScalarNode) else "<non-scalar>"
+    return node.value if node.kind is _SCALAR else "<non-scalar>"
 
 
-_Reader = Callable[[_DocParser, yaml.Node, str], object]
+def _pairs(entries: list):
+    """(key node, value node) of a mapping's flat entries."""
+    keys_and_values = iter(entries)
+    return zip(keys_and_values, keys_and_values)
+
+
+_Reader = Callable[[_DocParser, _Node, str], object]
 
 
 class _Key(NamedTuple):
@@ -379,10 +446,10 @@ def _parse_documents(
             diags.append(ParseDiagnostic(
                 Severity.ERROR, "syntax", "document is empty", path))
             continue
-        for key_node, value in parser.take(root, yaml.MappingNode, "document") or ():
+        for key_node, value in _pairs(parser.take(root, _MAPPING, "document") or ()):
             key = _key_name(key_node)
             if key == "model":
-                is_mapping = isinstance(value, yaml.MappingNode)
+                is_mapping = value.kind is _MAPPING
                 if header_declared and is_mapping:
                     parser.error(key_node, "model-header",
                                  "model header declared more than once")

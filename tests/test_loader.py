@@ -1,17 +1,21 @@
-"""`parser._Loader` resolves node tags exactly as the safe loaders do.
+"""`parser._Loader` composes every document exactly as the safe loaders do.
 
-`_Loader` mixes `parser._Lean`, which replaces the three resolver hooks
-that the composer calls once per node, into libyaml's `CSafeLoader`
-(PyYAML's pure-Python `SafeLoader` where libyaml is missing);
+`_Loader` mixes `parser._Lean`, a composer that builds one slotted lean
+node per YAML node from the loader's own events, into libyaml's
+`CSafeLoader` (PyYAML's pure-Python `SafeLoader` where libyaml is missing);
 `LeanSafeLoader` is the same mixin on `SafeLoader`.  Every fixture and
-generated scalars compose to the same node kinds and tags under both lean
-loaders as under their safe bases; so does the seeded mutation corpus of
-`test_parser_table.py`, under the pure-Python pair on one seed of four.  Under
-both lean loaders a document nested deeper than `parser.MAX_DEPTH` is a
-`yaml.YAMLError`, not a recursion error or a crash, and `parse_model`
-reads every fixture alike.  The last test pins how `parse_model` calls
-`yaml.compose`: through the module attribute, once per document, which
-the benchmark's `parser.compose_s` span relies on.
+generated scalars compose to the same node kinds, tags, scalar values,
+lines and columns under both lean loaders as under their safe bases; so
+does the seeded mutation corpus of `test_parser_table.py`, under the
+pure-Python pair on one seed of four.  Both lean loaders refuse an
+undefined alias, a duplicate anchor and a second document at the marks
+their bases use, with libyaml's messages; an empty stream composes to
+``None`` and an alias to a collection still open to the collection itself.
+A document nested deeper than `parser.MAX_DEPTH` is a `yaml.YAMLError` at
+the start of the collection at that depth, not a recursion error or a
+crash, and `parse_model` reads every fixture alike.  The last test pins
+how `parse_model` calls `yaml.compose`: through the module attribute, once
+per document, which the benchmark's `parser.compose_s` span relies on.
 """
 
 from __future__ import annotations
@@ -31,37 +35,53 @@ from test_parser_table import fixture_documents, mutated_cases, outcome
 
 
 class LeanSafeLoader(parser._Lean, yaml.SafeLoader):
-    """The lean hooks on the pure-Python loader: `_Loader` as the package
+    """The lean composer on the pure-Python loader: `_Loader` as the package
     builds it without libyaml."""
 
 
 #: Each lean loader and the loader it must agree with on every input.
 PAIRS = [(parser._Loader, parser._Loader.__bases__[-1]), (LeanSafeLoader, yaml.SafeLoader)]
 ALL = tuple(dict.fromkeys(loader for pair in PAIRS for loader in pair))
+#: `PAIRS` as test parameters, named by their lean loader.
+BY_LEAN = [pytest.param(lean, base, id=lean.__name__) for lean, base in PAIRS]
 
 
-def node_tags(text: str, loader) -> list[tuple[str, str]] | None:
-    """(node kind, tag) of every node in document order; None when the text
-    does not compose."""
+def node_tags(text: str, loader) -> list[tuple] | None:
+    """(node kind, tag, scalar value, line, column) of every node in document
+    order, read from `yaml.Node`s or lean nodes alike; a collection met
+    again through an alias is ("alias", its index in the list).  None when
+    the text does not compose."""
     try:
         root = yaml.compose(text, Loader=loader)
     except yaml.YAMLError:
         return None
-    out = []
+    out: list[tuple] = []
+    seen: dict[int, int] = {}
     stack = [root] if root is not None else []
     while stack:
         node = stack.pop()
-        out.append((type(node).__name__, node.tag))
-        if isinstance(node, yaml.MappingNode):
-            stack += [part for pair in reversed(node.value) for part in reversed(pair)]
-        elif isinstance(node, yaml.SequenceNode):
-            stack += reversed(node.value)
+        if isinstance(node, yaml.Node):
+            kind, value = type(node), node.value
+            line, column = node.start_mark.line, node.start_mark.column
+            if kind is yaml.MappingNode:
+                value = [part for pair in value for part in pair]
+        else:
+            kind, value, line, column = node.kind, node.value, node.line, node.column
+        if kind is yaml.ScalarNode:
+            out.append((kind.__name__, node.tag, value, line, column))
+        elif id(node) in seen:
+            out.append(("alias", seen[id(node)]))
+        else:
+            seen[id(node)] = len(out)
+            out.append((kind.__name__, node.tag, None, line, column))
+            stack += reversed(value)
     return out
 
 
 def assert_same_tags(text: str, loaders=ALL) -> None:
     """A lean loader composes exactly what its base composes, below its depth
-    limit, to the same tags.  Where the two bases agree, so do all four.
+    limit, to the same kinds, tags, values and positions.  Where the two
+    bases agree, so do all four.
     The bases themselves may disagree: on ``[0,!, x]`` libyaml reads `!` as
     an empty scalar's tag, and the pure-Python scanner reads `!,` as `x`'s."""
     tags = {loader: node_tags(text, loader) for loader in loaders}
@@ -122,13 +142,78 @@ def test_scalars_compose_to_the_same_tags(value, style):
     assert_same_tags(f"a: {scalar}\n{scalar}: b\nc: [{scalar}, x]\nd:\n  - {scalar}\n")
 
 
-@pytest.mark.parametrize("loader", [lean for lean, _ in PAIRS], ids=lambda l: l.__name__)
+def composer_error(text: str, loader) -> yaml.YAMLError:
+    with pytest.raises(yaml.YAMLError) as caught:
+        yaml.compose(text, Loader=loader)
+    return caught.value
+
+
+def marks(exc: yaml.YAMLError) -> list:
+    return [(mark.line, mark.column) if mark else None
+            for mark in (exc.context_mark, exc.problem_mark)]
+
+
+#: Texts that the safe loaders' composers refuse, one per refusal, with
+#: libyaml's context and problem, which the lean composer uses on both backends.
+COMPOSER_ERRORS = {
+    "undefined-alias": ("a: [1, *x]\n", None, "found undefined alias"),
+    "duplicate-anchor": ("a: &x [1]\nb:\n  c: &x 2\n",
+                         "found duplicate anchor; first occurrence", "second occurrence"),
+    "second-document": ("a: 1\n--- [b]\n",
+                        "expected a single document in the stream", "but found another document"),
+}
+
+
+@pytest.mark.parametrize("lean,base", BY_LEAN)
+@pytest.mark.parametrize("text,context,problem", COMPOSER_ERRORS.values(), ids=COMPOSER_ERRORS)
+def test_lean_loaders_refuse_what_their_bases_refuse(lean, base, text, context, problem):
+    """At the same marks, and with libyaml's message on both backends.
+    PyYAML's pure-Python composer quotes the anchor in its alias and anchor
+    messages, so against `SafeLoader` only the marks are compared."""
+    expected, got = composer_error(text, base), composer_error(text, lean)
+    assert marks(got) == marks(expected)
+    assert (got.context, got.problem) == (context, problem)
+    if base is getattr(yaml, "CSafeLoader", None):
+        assert str(got) == str(expected)
+
+
+@pytest.mark.parametrize("loader", ALL, ids=lambda l: l.__name__)
+def test_empty_stream_and_self_alias(loader):
+    """An empty stream composes to None; an alias to a collection still open
+    brings back the collection itself."""
+    assert yaml.compose("", Loader=loader) is None
+    assert yaml.compose("# a comment\n", Loader=loader) is None
+    root = yaml.compose("&a [*a, x]\n", Loader=loader)
+    assert root.value[0] is root
+    assert node_tags("&a [*a, x]\n", loader) == [
+        ("SequenceNode", "tag:yaml.org,2002:seq", None, 0, 0), ("alias", 0),
+        ("ScalarNode", "tag:yaml.org,2002:str", "x", 0, 8)]
+
+
+def crossing_mark(shape: str, loader):
+    """Where `loader` starts the collection at depth `MAX_DEPTH` of a nest
+    one level deeper: the one that holds the node past the limit."""
+    node = yaml.compose(nest(shape, parser.MAX_DEPTH + 1), Loader=loader)
+    for _ in range(parser.MAX_DEPTH - 1):
+        node = node.value[-1][1] if isinstance(node, yaml.MappingNode) else node.value[-1]
+    return node.start_mark
+
+
+@pytest.mark.parametrize("lean,base", BY_LEAN)
 @pytest.mark.parametrize("shape", NEST_SHAPES)
-def test_lean_loaders_stop_at_the_depth_limit(loader, shape):
-    assert node_tags(nest(shape, parser.MAX_DEPTH), loader) is not None
+def test_lean_loaders_stop_at_the_depth_limit(lean, base, shape):
+    """At the collection that holds the node past the limit, where the base
+    composer, which has no limit, starts that collection."""
+    assert node_tags(nest(shape, parser.MAX_DEPTH), lean) == \
+        node_tags(nest(shape, parser.MAX_DEPTH), base)
+    mark = crossing_mark(shape, base)
+    expected = yaml.composer.ComposerError(
+        None, None, f"document nests deeper than {parser.MAX_DEPTH} levels", mark)
     for depth in (parser.MAX_DEPTH + 1, 50_000):
-        with pytest.raises(yaml.YAMLError, match="nests deeper than"):
-            yaml.compose(nest(shape, depth), Loader=loader)
+        got = composer_error(nest(shape, depth), lean)
+        assert marks(got) == [None, (mark.line, mark.column)]
+        if base is getattr(yaml, "CSafeLoader", None):
+            assert str(got) == str(expected)
 
 
 def test_parse_model_reads_alike_on_the_pure_python_backend(monkeypatch):

@@ -609,3 +609,19 @@ def test_parse_peak_memory_is_one_node_tree():
                                            ("registries.sac.yaml", split[1])]))
     largest = max(map(compose_peak, split))
     assert two <= 1.02 * largest, two / largest
+
+
+def test_parse_peak_memory_is_at_most_four_models():
+    """The composed node tree costs memory in proportion to the model: the
+    peak of `parse_model` is at most four times the model it returns."""
+    text = serialize_model(big_model(4000, 2000))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model, diags = parse_model([("model.sac.yaml", text)])
+        size, peak = (traced - before for traced in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert model is not None, diags
+    assert peak <= 4 * size, peak / size
