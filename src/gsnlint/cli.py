@@ -1,11 +1,10 @@
 """Command-line front end: parse -> wellformed -> rules -> trace -> report.
 
-Exit codes: 0 when no Error finding, 1 when at least one Error finding
-(or, with --strict-warnings, a Warning), 2 on parse or usage failure or
-when an output file cannot be written, 3 on an unexpected exception (an
-internal error).  Reports go to stdout, diagnostics to stderr; under
-`--format json`, an input that reads as no model also puts its diagnostics
-on stdout as a JSON envelope.
+Exit codes: 0 when no Error finding, 1 when at least one Error finding (or,
+with --strict-warnings, a Warning), 2 on parse or usage failure or when an
+output file cannot be written, 3 on an internal error; closing stdout or
+stderr early changes none.  Reports go to stdout, diagnostics to stderr;
+under `--format json` a parse failure also puts its diagnostics on stdout.
 """
 
 from __future__ import annotations
@@ -31,6 +30,19 @@ from .trace import (
 )
 
 
+class _End(Exception):
+    """Ends a command early: `_End(exit code, stderr text, stdout text)`."""
+
+
+def _write(text: str, err: bool = False) -> None:
+    """The CLI's one writer; a closed stream takes nothing more."""
+    try:
+        if text:  # an empty text touches no stream
+            click.echo(text, nl=False, err=err)
+    except BrokenPipeError:  # the reader stopped early
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 2 if err else 1)
+
+
 def _parse_severity_overrides(pairs: tuple[str, ...]) -> dict[str, Severity]:
     overrides: dict[str, Severity] = {}
     for pair in pairs:
@@ -43,42 +55,43 @@ def _parse_severity_overrides(pairs: tuple[str, ...]) -> dict[str, Severity]:
     return overrides
 
 
-def _load_or_exit(paths: tuple[str, ...], lenient: bool, as_json: bool = False):
+def _load(paths: tuple[str, ...], lenient: bool, as_json: bool = False):
     model, diags = load_model(list(paths), lenient=lenient)
-    for diag in diags:
-        click.echo(str(diag), err=True)
+    err = "".join(f"{diag}\n" for diag in diags)
     if model is None:
-        click.get_current_context().meta["exit_code"] = 2  # kept if stdout closes early
-        if as_json:
-            click.echo(emit_diagnostics_json(diags))
-        sys.exit(2)
+        raise _End(2, err, emit_diagnostics_json(diags) + "\n" if as_json else "")
+    _write(err, err=True)  # now, so an internal error comes after them
     return model
 
 
-def _write_or_exit(path: str | Path, text: str) -> None:
+def _write_file(path: str | Path, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        click.echo(f"cannot write '{path}': {exc.strerror}", err=True)
-        sys.exit(2)
+        raise _End(2, f"cannot write '{path}': {exc.strerror}\n", "") from None
 
 
 class _Main(click.Group):
-    """Turns an unexpected exception into one stderr line and exit code 3,
-    so a crash never reads as exit 1 ("Error findings")."""
+    """Writes what each command returns or raises (`_End`) and exits with its
+    code; an unexpected exception is one stderr line and exit 3, never exit 1."""
 
     def invoke(self, ctx: click.Context):
         try:
-            return super().invoke(ctx)
+            err, code = "", 0
+            try:
+                out, code = super().invoke(ctx)
+            except _End as end:
+                code, err, out = end.args
+            _write(err, err=True)
+            _write(out)
         except (click.exceptions.Exit, click.Abort, click.ClickException):
             raise  # click's own control flow (Exit and Abort are RuntimeErrors)
-        except BrokenPipeError:
-            # The reader stopped early: end quietly with the code the command set.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            sys.exit(ctx.meta.get("exit_code", 0))
+        except BrokenPipeError:  # a command's --help met a closed stdout; help exits 0
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         except Exception as exc:
-            click.echo(f"gsnlint: internal error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(3)
+            _write(f"gsnlint: internal error: {type(exc).__name__}: {exc}\n", err=True)
+            code = 3
+        sys.exit(code)
 
 
 @click.group(cls=_Main)
@@ -96,14 +109,14 @@ def main() -> None:
               help="Treat warning findings like errors for the exit code.")
 @click.option("--severity", "severity_pairs", multiple=True, metavar="RULE=LEVEL",
               help="Override a rule's severity (repeatable).")
-def check(paths, profile, fmt, lenient, strict_warnings, severity_pairs) -> None:
+def check(paths, profile, fmt, lenient, strict_warnings, severity_pairs) -> tuple[str, int]:
     """Run the full rule pipeline on an argumentation model."""
     try:
         rule_profile = rules_mod.make_profile(
             profile, _parse_severity_overrides(severity_pairs))
     except rules_mod.UnknownRuleError as exc:
         raise click.UsageError(str(exc))
-    model = _load_or_exit(paths, lenient, fmt == "json")
+    model = _load(paths, lenient, fmt == "json")
     findings = rules_mod.evaluate(model, rule_profile)
     bundle = ReportBundle(
         model_id=model.id,
@@ -116,10 +129,7 @@ def check(paths, profile, fmt, lenient, strict_warnings, severity_pairs) -> None
     )
     summary = bundle.summary
     code = 1 if summary["errors"] or (strict_warnings and summary["warnings"]) else 0
-    click.get_current_context().meta["exit_code"] = code  # kept if stdout closes early
-    click.echo(emit_findings(bundle, fmt), nl=False)
-    if code:
-        sys.exit(code)
+    return emit_findings(bundle, fmt), code
 
 
 @main.command()
@@ -129,7 +139,7 @@ def check(paths, profile, fmt, lenient, strict_warnings, severity_pairs) -> None
 @click.option("--split", is_flag=True,
               help="Write registries and artifacts to a separate file.")
 @click.option("--force", is_flag=True, help="Overwrite existing files.")
-def scaffold(out_path, top_claim, no_samples, split, force) -> None:
+def scaffold(out_path, top_claim, no_samples, split, force) -> tuple[str, int]:
     """Write a rule-clean reference argumentation model."""
     opts = ScaffoldOptions(include_samples=not no_samples)
     if top_claim is not None:
@@ -142,13 +152,11 @@ def scaffold(out_path, top_claim, no_samples, split, force) -> None:
                                      + "-registries.sac.yaml"))
     for target in targets:
         if target.exists() and not force:
-            click.echo(f"refusing to overwrite '{target}' (use --force)", err=True)
-            sys.exit(2)
-    _write_or_exit(out_path, serialize_model(model, include_registries=not split))
+            raise _End(2, f"refusing to overwrite '{target}' (use --force)\n", "")
+    _write_file(out_path, serialize_model(model, include_registries=not split))
     if split:
-        _write_or_exit(targets[1], serialize_registries(model))
-    count = len(model.index)
-    click.echo(f"wrote {' and '.join(str(t) for t in targets)} ({count} elements)")
+        _write_file(targets[1], serialize_registries(model))
+    return f"wrote {' and '.join(str(t) for t in targets)} ({len(model.index)} elements)\n", 0
 
 
 @main.command()
@@ -156,14 +164,10 @@ def scaffold(out_path, top_claim, no_samples, split, force) -> None:
 @click.argument("paths", nargs=-1, required=True, type=click.Path())
 @click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "json"]))
 @click.option("--lenient", is_flag=True)
-def trace(registry, paths, fmt, lenient) -> None:
+def trace(registry, paths, fmt, lenient) -> tuple[str, int]:
     """Emit the traceability matrix for one registry."""
-    model = _load_or_exit(paths, lenient, fmt == "json")
-    matrix = trace_registry(model, registry)
-    if fmt == "json":
-        click.echo(matrix_to_json(matrix))
-    else:
-        click.echo(matrix_to_csv(matrix), nl=False)
+    matrix = trace_registry(_load(paths, lenient, fmt == "json"), registry)
+    return (matrix_to_json(matrix) + "\n" if fmt == "json" else matrix_to_csv(matrix)), 0
 
 
 @main.command()
@@ -172,26 +176,22 @@ def trace(registry, paths, fmt, lenient) -> None:
 @click.option("--color-by-type", is_flag=True,
               help="Fill nodes by argument-type membership.")
 @click.option("--lenient", is_flag=True)
-def render(paths, out_path, color_by_type, lenient) -> None:
+def render(paths, out_path, color_by_type, lenient) -> tuple[str, int]:
     """Render the model graph as Graphviz DOT."""
-    model = _load_or_exit(paths, lenient)
-    dot = render_dot(model, by_argument_type_color=color_by_type)
+    dot = render_dot(_load(paths, lenient), by_argument_type_color=color_by_type)
     if out_path:
-        _write_or_exit(out_path, dot)
-    else:
-        click.echo(dot, nl=False)
+        _write_file(out_path, dot)
+    return ("" if out_path else dot), 0
 
 
 @main.command()
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "text"]))
-def rules(fmt) -> None:
+def rules(fmt) -> tuple[str, int]:
     """Print the rule catalog."""
     if fmt == "json":
-        click.echo(rules_mod.catalog_as_json())
-    else:
-        for descriptor in rules_mod.CATALOG.values():
-            click.echo(f"{descriptor.id:5} {descriptor.default_severity.value:8} "
-                       f"{descriptor.title}")
+        return rules_mod.catalog_as_json() + "\n", 0
+    return "".join(f"{d.id:5} {d.default_severity.value:8} {d.title}\n"
+                   for d in rules_mod.CATALOG.values()), 0
 
 
 if __name__ == "__main__":

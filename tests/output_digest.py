@@ -25,7 +25,13 @@ without samples over several context-dimension counts and top claims, and
 twice across modules, dangling references, bad ACPs, and some clean
 models): the `gsn-wf` profile's findings and `topo_order` of the hand-built
 model, then `check` on the model written as YAML, whose exit code and
-positioned stderr diagnostics come from the parser's guards.  It tests
+positioned stderr diagnostics come from the parser's guards.  A `cli` line
+hashes the commands no other line covers, run in order in one empty
+directory: `rules` in both formats, `scaffold` (default, `--no-samples`,
+`--split`, `--top-claim`, refused overwrites, `--force` and unwritable
+targets) and `render -o` (also onto an unwritable target); each
+run's (argv, exit code, stdout, stderr) and every file in the directory
+afterwards, by name and bytes.  It tests
 whichever `gsnlint` is importable; to compare two checkouts, run it once
 against each:
 
@@ -197,6 +203,42 @@ def structure_digest(root: Path) -> tuple[str, int]:
     return sha.hexdigest(), len(SEEDS)
 
 
+#: Runs in order in one directory, so later runs meet earlier runs' files.
+CLI_RUNS = [
+    ["rules"], ["rules", "--format", "text"],
+    ["scaffold", "default.sac.yaml"],
+    ["scaffold", "--no-samples", "empty.sac.yaml"],
+    ["scaffold", "--split", "split.sac.yaml"],
+    ["scaffold", "--top-claim", "Kein unvertretbares Risiko — über die ODD", "claim.sac.yaml"],
+    ["scaffold", "default.sac.yaml"],
+    ["scaffold", "--no-samples", "half-registries.sac.yaml"],
+    ["scaffold", "--split", "half.sac.yaml"],
+    ["scaffold", "--force", "--no-samples", "default.sac.yaml"],
+    ["scaffold", "missing/x.sac.yaml"],
+    ["scaffold", "--force", "dir"],
+    ["render", "-o", "default.dot", "default.sac.yaml"],
+    ["render", "--color-by-type", "-o", "split.dot",
+     "split.sac.yaml", "split-registries.sac.yaml"],
+    ["render", "-o", "missing/x.dot", "claim.sac.yaml"],
+]
+
+
+def cli_digest(root: Path) -> tuple[str, int]:
+    """(sha256 over CLI_RUNS, run count); `root` is the working directory."""
+    runner = CliRunner()
+    sha = hashlib.sha256()
+    (root / "cli").mkdir()
+    os.chdir(root / "cli")
+    Path("dir").mkdir()  # "dir" cannot be written as a file; "missing/" does not exist
+    for argv in CLI_RUNS:
+        result = runner.invoke(cli.main, argv)
+        files = {path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in sorted(Path().rglob("*")) if path.is_file()}
+        record = [argv, result.exit_code, result.stdout, result.stderr, files]
+        sha.update(json.dumps(record).encode("utf-8") + b"\n")
+    return sha.hexdigest(), len(CLI_RUNS)
+
+
 def main() -> None:
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -204,6 +246,7 @@ def main() -> None:
         try:
             results = digests(*write_inputs(Path(tmp)))
             structure = structure_digest(Path(tmp))
+            cli_runs = cli_digest(Path(tmp))
         finally:
             os.chdir(cwd)
     for family, (digest, runs) in results.items():
@@ -214,6 +257,8 @@ def main() -> None:
     print(f"{'serialize':9} {digest}  ({count} models)")
     digest, count = structure
     print(f"{'structure':9} {digest}  ({count} models)")
+    digest, runs = cli_runs
+    print(f"{'cli':9} {digest}  ({runs} runs)")
 
 
 if __name__ == "__main__":

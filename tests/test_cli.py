@@ -273,14 +273,19 @@ class TestClosedPipe:
     """A reader that stops early changes no exit code and prints nothing."""
 
     @staticmethod
-    def run_into_closed_pipe(args) -> subprocess.CompletedProcess:
+    def run_into_closed_pipe(args, closed="stdout") -> subprocess.CompletedProcess:
+        """Run the CLI with `closed` ("stdout", "stderr" or "both") writing into
+        a pipe nobody reads; an open stdout goes to /dev/null, an open stderr
+        is captured."""
         env = dict(os.environ, PYTHONPATH=str(Path(gsnlint.__file__).parents[1]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            return subprocess.run([sys.executable, "-m", "gsnlint.cli", *args],
-                                  stdout=write_end, stderr=subprocess.PIPE,
-                                  env=env, timeout=120)
+            return subprocess.run(
+                [sys.executable, "-m", "gsnlint.cli", *args],
+                stdout=subprocess.DEVNULL if closed == "stderr" else write_end,
+                stderr=subprocess.PIPE if closed == "stdout" else write_end,
+                env=env, timeout=120)
         finally:
             os.close(write_end)
 
@@ -303,3 +308,32 @@ class TestClosedPipe:
         assert proc.returncode == 2
         _, diags = load_model([path])
         assert proc.stderr.decode() == "".join(f"{d}\n" for d in diags)
+
+    def test_command_help_exits_zero(self):
+        proc = self.run_into_closed_pipe(["check", "--help"])
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+
+    @pytest.mark.parametrize("closed", ["stderr", "both"])
+    @pytest.mark.parametrize("case, code", [
+        ("syntax", 2), ("syntax-json", 2), ("refused-scaffold", 2),
+        ("lenient-errors", 1), ("root-only", 1), ("rules", 0), ("help", 0),
+    ])
+    def test_closed_stderr_keeps_the_exit_code(self, tmp_path, closed, case, code):
+        existing = tmp_path / "existing.sac.yaml"
+        existing.write_text("existing")
+        lenient = tmp_path / "lenient.sac.yaml"
+        lenient.write_text('model: {id: root-only, version: "1", extra_key: 1}\n'
+                           "modules:\n  - id: main\n    elements:\n"
+                           "      - {id: G1, kind: goal, text: The system is safe}\n")
+        args = {
+            "syntax": ["check", fixture("bad/syntax.sac.yaml")],
+            "syntax-json": ["check", "--format", "json", fixture("bad/syntax.sac.yaml")],
+            "refused-scaffold": ["scaffold", str(existing)],
+            "lenient-errors": ["check", "--lenient", str(lenient)],
+            "root-only": ["check", fixture("22-root-only.sac.yaml")],
+            "rules": ["rules"],
+            "help": ["check", "--help"],
+        }[case]
+        assert self.run_into_closed_pipe(args, closed).returncode == code
+        assert existing.read_text() == "existing"

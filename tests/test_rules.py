@@ -14,6 +14,8 @@ from gsnlint.model import (
     ElementKind,
     GsnElement,
     GsnModule,
+    Hazard,
+    HazardStatus,
     NormativeRequirement,
     RacLevel,
     Registries,
@@ -229,6 +231,17 @@ class TestRuleBranches:
             _goal("G2", ArgumentType.PRODUCT, supported_by=("SN1",)), _solution("SN1"),
             _goal("G3", ArgumentType.PROCESS, supported_by=("SN2",)), _solution("SN2"),
         ]) == []
+
+    def test_r6_hazard_management_without_solutions(self):
+        # H-1 is managed and traced by the hazard-management goal G2 of the
+        # product argument, but no solution hangs below G2.
+        assert _pinned("R6", [
+            _goal("G1", ArgumentType.PRODUCT, supported_by=("G2", "SN1")),
+            _goal("G2", roles={RoleTag.HAZARD_MANAGEMENT}, traces={"H-1"}, undeveloped=True),
+            _solution("SN1"),
+        ], registries=Registries(hazards=[Hazard("H-1", status=HazardStatus.MANAGED)]),
+        ) == [(Severity.ERROR, "hazard 'H-1': hazard-management elements lack supporting "
+                "solutions", ("G2",))]
 
     def test_r8_no_safety_culture(self):
         assert _pinned("R8", [
