@@ -35,10 +35,10 @@ class _End(Exception):
 
 
 def _write(text: str, err: bool = False) -> None:
-    """The CLI's one writer; a closed stream takes nothing more."""
+    """The one writer: non-empty text ends with a newline; a closed stream takes no more."""
     try:
         if text:  # an empty text touches no stream
-            click.echo(text, nl=False, err=err)
+            click.echo(text, nl=not text.endswith("\n"), err=err)
     except BrokenPipeError:  # the reader stopped early
         os.dup2(os.open(os.devnull, os.O_WRONLY), 2 if err else 1)
 
@@ -57,9 +57,9 @@ def _parse_severity_overrides(pairs: tuple[str, ...]) -> dict[str, Severity]:
 
 def _load(paths: tuple[str, ...], lenient: bool, as_json: bool = False):
     model, diags = load_model(list(paths), lenient=lenient)
-    err = "".join(f"{diag}\n" for diag in diags)
+    err = "\n".join(map(str, diags))
     if model is None:
-        raise _End(2, err, emit_diagnostics_json(diags) + "\n" if as_json else "")
+        raise _End(2, err, emit_diagnostics_json(diags) if as_json else "")
     _write(err, err=True)  # now, so an internal error comes after them
     return model
 
@@ -68,7 +68,7 @@ def _write_file(path: str | Path, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _End(2, f"cannot write '{path}': {exc.strerror}\n", "") from None
+        raise _End(2, f"cannot write '{path}': {exc.strerror}", "") from None
 
 
 class _Main(click.Group):
@@ -89,7 +89,7 @@ class _Main(click.Group):
         except BrokenPipeError:  # a command's --help met a closed stdout; help exits 0
             os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         except Exception as exc:
-            _write(f"gsnlint: internal error: {type(exc).__name__}: {exc}\n", err=True)
+            _write(f"gsnlint: internal error: {type(exc).__name__}: {exc}", err=True)
             code = 3
         sys.exit(code)
 
@@ -152,11 +152,11 @@ def scaffold(out_path, top_claim, no_samples, split, force) -> tuple[str, int]:
                                      + "-registries.sac.yaml"))
     for target in targets:
         if target.exists() and not force:
-            raise _End(2, f"refusing to overwrite '{target}' (use --force)\n", "")
+            raise _End(2, f"refusing to overwrite '{target}' (use --force)", "")
     _write_file(out_path, serialize_model(model, include_registries=not split))
     if split:
         _write_file(targets[1], serialize_registries(model))
-    return f"wrote {' and '.join(str(t) for t in targets)} ({len(model.index)} elements)\n", 0
+    return f"wrote {' and '.join(str(t) for t in targets)} ({len(model.index)} elements)", 0
 
 
 @main.command()
@@ -167,7 +167,7 @@ def scaffold(out_path, top_claim, no_samples, split, force) -> tuple[str, int]:
 def trace(registry, paths, fmt, lenient) -> tuple[str, int]:
     """Emit the traceability matrix for one registry."""
     matrix = trace_registry(_load(paths, lenient, fmt == "json"), registry)
-    return (matrix_to_json(matrix) + "\n" if fmt == "json" else matrix_to_csv(matrix)), 0
+    return (matrix_to_json(matrix) if fmt == "json" else matrix_to_csv(matrix)), 0
 
 
 @main.command()
@@ -189,9 +189,9 @@ def render(paths, out_path, color_by_type, lenient) -> tuple[str, int]:
 def rules(fmt) -> tuple[str, int]:
     """Print the rule catalog."""
     if fmt == "json":
-        return rules_mod.catalog_as_json() + "\n", 0
-    return "".join(f"{d.id:5} {d.default_severity.value:8} {d.title}\n"
-                   for d in rules_mod.CATALOG.values()), 0
+        return rules_mod.catalog_as_json(), 0
+    return "\n".join(f"{d.id:5} {d.default_severity.value:8} {d.title}"
+                     for d in rules_mod.CATALOG.values()), 0
 
 
 if __name__ == "__main__":

@@ -269,6 +269,21 @@ class TestRules:
         assert "R1" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["check", "--format", "json", fixture("28-scaffold-default.sac.yaml")],
+    ["check", "--format", "json", fixture("bad/syntax.sac.yaml")],
+    ["check", fixture("22-root-only.sac.yaml")],
+    ["trace", "hazards", "--format", "json", fixture("28-scaffold-default.sac.yaml")],
+    ["trace", "hazards", fixture("28-scaffold-default.sac.yaml")],
+    ["render", fixture("28-scaffold-default.sac.yaml")],
+    ["rules"], ["rules", "--format", "text"],
+], ids=["check-json", "envelope", "check-text", "trace-json", "trace-csv", "render",
+        "rules-json", "rules-text"])
+def test_stdout_ends_with_one_newline(runner, args):
+    stdout = runner.invoke(main, args).stdout
+    assert stdout.endswith("\n") and not stdout.endswith("\n\n")
+
+
 class TestClosedPipe:
     """A reader that stops early changes no exit code and prints nothing."""
 
