@@ -38,7 +38,10 @@ def _write(text: str, err: bool = False) -> None:
     """The one writer: non-empty text ends with a newline; a closed stream takes no more."""
     try:
         if text:  # an empty text touches no stream
-            click.echo(text, nl=not text.endswith("\n"), err=err)
+            # An explicit stream: click's default one is cached per stream
+            # object, which keeps every in-process caller's output alive.
+            click.echo(text, nl=not text.endswith("\n"),
+                       file=click.get_text_stream("stderr" if err else "stdout"))
     except BrokenPipeError:  # the reader stopped early
         os.dup2(os.open(os.devnull, os.O_WRONLY), 2 if err else 1)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -282,6 +283,38 @@ class TestRules:
 def test_stdout_ends_with_one_newline(runner, args):
     stdout = runner.invoke(main, args).stdout
     assert stdout.endswith("\n") and not stdout.endswith("\n\n")
+
+
+class TestWriter:
+    def test_in_process_invokes_leave_nothing_behind(self, runner, tmp_path):
+        # click caches a text wrapper per default stream, and under CliRunner
+        # the cached wrapper is the captured stream itself, so it never dies.
+        path = str(tmp_path / "model.sac.yaml")
+
+        def cycle():
+            for args in (["scaffold", "--force", path], ["check", "--format", "json", path],
+                         ["trace", "hazards", path], ["render", path]):
+                assert runner.invoke(main, args).exit_code == 0
+
+        cycle()
+        gc.collect()
+        before = len(gc.get_objects())
+        for _ in range(20):
+            cycle()
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 40  # 80 invokes
+
+    def test_a_non_utf8_locale_still_gets_utf8_text(self, tmp_path):
+        path = tmp_path / "model.sac.yaml"
+        path.write_text('model: {id: root-only, version: "1"}\nmodules:\n  - id: main\n'
+                        "    elements:\n      - {id: G-Übersicht, kind: goal, text: Sicher}\n",
+                        encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(gsnlint.__file__).parents[1]),
+                   PYTHONIOENCODING="ascii")
+        proc = subprocess.run([sys.executable, "-m", "gsnlint.cli", "check", str(path)],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "G-Übersicht" in proc.stdout.decode("utf-8")
 
 
 class TestClosedPipe:
