@@ -1,14 +1,17 @@
 """Command-line front end: parse -> wellformed -> rules -> trace -> report.
 
 Exit codes: 0 when no Error finding, 1 when at least one Error finding (or,
-with --strict-warnings, a Warning), 2 on parse or usage failure or when an
-output file cannot be written, 3 on an internal error; closing stdout or
-stderr early changes none.  Reports go to stdout, diagnostics to stderr;
+with --strict-warnings, a Warning) and on an interrupt (`Aborted!`), 2 on
+parse or usage failure or when an output file cannot be written, 3 on an
+internal error; closing stdout or stderr early changes none, for usage errors
+and `--help` too.  Reports go to stdout, diagnostics to stderr;
 under `--format json` a parse failure also puts its diagnostics on stdout.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import sys
 from pathlib import Path
@@ -75,22 +78,32 @@ def _write_file(path: str | Path, text: str) -> None:
 
 
 class _Main(click.Group):
-    """Writes what each command returns or raises (`_End`) and exits with its
-    code; an unexpected exception is one stderr line and exit 3, never exit 1."""
+    """The CLI's one exit.  What a command returns or raises (`_End`), click's
+    `--help` text, its usage errors and an interrupt each become (stdout,
+    stderr, code); `_write` writes stderr, then stdout, and `sys.exit` runs
+    once.  An unexpected exception is one stderr line and exit 3, never 1."""
 
-    def invoke(self, ctx: click.Context):
+    def main(self, args=None, prog_name=None, **extra):
+        printed = io.StringIO()  # what click prints itself: help, shell completion
         try:
-            err, code = "", 0
+            out, err, code = "", "", 0
             try:
-                out, code = super().invoke(ctx)
+                with contextlib.redirect_stdout(printed):
+                    result = super().main(args, prog_name, standalone_mode=False, **extra)
+                out, code = result if isinstance(result, tuple) else ("", result)
             except _End as end:
                 code, err, out = end.args
+            except click.ClickException as exc:
+                exc.show(shown := io.StringIO())
+                err, code = shown.getvalue(), exc.exit_code
+            except (click.Abort, BrokenPipeError):
+                # An interrupt: click writes a newline to stderr before Abort,
+                # and into a closed stderr that write raises instead.
+                err, code = "Aborted!", 1
+            except SystemExit as exc:  # click ends shell completion itself
+                code = exc.code
             _write(err, err=True)
-            _write(out)
-        except (click.exceptions.Exit, click.Abort, click.ClickException):
-            raise  # click's own control flow (Exit and Abort are RuntimeErrors)
-        except BrokenPipeError:  # a command's --help met a closed stdout; help exits 0
-            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            _write(printed.getvalue() or out)
         except Exception as exc:
             _write(f"gsnlint: internal error: {type(exc).__name__}: {exc}", err=True)
             code = 3

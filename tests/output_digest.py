@@ -29,11 +29,14 @@ positioned stderr diagnostics come from the parser's guards.  A `cli` line
 hashes the commands no other line covers, run in order in one empty
 directory: `rules` in both formats, `scaffold` (default, `--no-samples`,
 `--split`, `--top-claim`, refused overwrites, `--force` and unwritable
-targets) and `render -o` (also onto an unwritable target); each
-run's (argv, exit code, stdout, stderr) and every file in the directory
-afterwards, by name and bytes.  It tests
-whichever `gsnlint` is importable; to compare two checkouts, run it once
-against each:
+targets) and `render -o` (also onto an unwritable target), then click's
+own output: `--help` of the group, `check` and `trace`, no arguments, an
+unknown command, usage errors (`check --format xml`, a malformed and an
+unknown `--severity`, an unknown `--profile`, `check` with no paths,
+`trace` of an unknown registry); each run's (argv, exit code, stdout,
+stderr) and every file in the directory afterwards, by name and bytes.  It
+tests whichever `gsnlint` is importable; to compare two checkouts, run it
+once against each:
 
     PYTHONPATH=<checkout>/src python tests/output_digest.py
 
@@ -220,6 +223,13 @@ CLI_RUNS = [
     ["render", "--color-by-type", "-o", "split.dot",
      "split.sac.yaml", "split-registries.sac.yaml"],
     ["render", "-o", "missing/x.dot", "claim.sac.yaml"],
+    ["--help"], ["check", "--help"], ["trace", "--help"],
+    [], ["nosuchcmd"],
+    ["check", "--format", "xml", "default.sac.yaml"],
+    ["check", "--severity", "R1=bogus", "default.sac.yaml"],
+    ["check", "--severity", "R99=error", "default.sac.yaml"],
+    ["check", "--profile", "nope", "default.sac.yaml"],
+    ["check"], ["trace", "bogus", "default.sac.yaml"],
 ]
 
 

@@ -125,6 +125,19 @@ class TestCheck:
         assert result.exit_code == 0
         assert "--profile" in result.stdout
 
+    def test_interrupt_prints_aborted(self, runner, monkeypatch):
+        def interrupt(paths, lenient):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "load_model", interrupt)
+        result = runner.invoke(main, ["check", fixture("01-minimal.sac.yaml")])
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
+
+    def test_shell_completion_prints_its_candidates(self, runner):
+        result = runner.invoke(main, [], env={
+            "_MAIN_COMPLETE": "bash_complete", "COMP_WORDS": "main ch", "COMP_CWORD": "1"})
+        assert (result.exit_code, result.stdout, result.stderr) == (0, "plain,check\n", "")
+
     def test_multi_document_input(self, runner):
         result = runner.invoke(main, [
             "check",
@@ -320,17 +333,24 @@ class TestWriter:
 class TestClosedPipe:
     """A reader that stops early changes no exit code and prints nothing."""
 
+    #: Runs the CLI with `load_model` raising KeyboardInterrupt, as Ctrl-C would.
+    INTERRUPTED = ("-c", "import gsnlint.cli as cli\n"
+                         "def interrupt(paths, lenient): raise KeyboardInterrupt\n"
+                         "cli.load_model = interrupt\n"
+                         "cli.main()\n")
+
     @staticmethod
-    def run_into_closed_pipe(args, closed="stdout") -> subprocess.CompletedProcess:
-        """Run the CLI with `closed` ("stdout", "stderr" or "both") writing into
-        a pipe nobody reads; an open stdout goes to /dev/null, an open stderr
-        is captured."""
+    def run_into_closed_pipe(args, closed="stdout", command=("-m", "gsnlint.cli")
+                             ) -> subprocess.CompletedProcess:
+        """Run the CLI (`python *command *args`) with `closed` ("stdout",
+        "stderr" or "both") writing into a pipe nobody reads; an open stdout
+        goes to /dev/null, an open stderr is captured."""
         env = dict(os.environ, PYTHONPATH=str(Path(gsnlint.__file__).parents[1]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             return subprocess.run(
-                [sys.executable, "-m", "gsnlint.cli", *args],
+                [sys.executable, *command, *args],
                 stdout=subprocess.DEVNULL if closed == "stderr" else write_end,
                 stderr=subprocess.PIPE if closed == "stdout" else write_end,
                 env=env, timeout=120)
@@ -385,3 +405,19 @@ class TestClosedPipe:
         }[case]
         assert self.run_into_closed_pipe(args, closed).returncode == code
         assert existing.read_text() == "existing"
+
+    @pytest.mark.parametrize("args, closed, code", [
+        (["check", "--severity", "R1=bogus", fixture("01-minimal.sac.yaml")], "stderr", 2),
+        (["nosuchcmd"], "stderr", 2),
+        ([], "stderr", 2),
+        (["check", "--profile", "nope", fixture("01-minimal.sac.yaml")], "stderr", 2),
+        (["--help"], "stdout", 0),
+    ], ids=["bad-severity", "unknown-command", "no-arguments", "bad-profile", "help"])
+    def test_clicks_own_output_keeps_the_exit_code(self, args, closed, code):
+        assert self.run_into_closed_pipe(args, closed).returncode == code
+
+    @pytest.mark.parametrize("closed", ["stdout", "stderr"])
+    def test_interrupt_exits_one(self, closed):
+        proc = self.run_into_closed_pipe(["check", fixture("01-minimal.sac.yaml")], closed,
+                                         command=self.INTERRUPTED)
+        assert proc.returncode == 1

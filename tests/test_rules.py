@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsnlint.cli import main
 from gsnlint.findings import Severity
 from gsnlint.model import (
+    REGISTRY_ITEMS,
     AcpRelation,
     ArgumentType,
     Artifact,
@@ -13,6 +18,7 @@ from gsnlint.model import (
     AssuranceClaimPoint,
     ElementKind,
     GsnElement,
+    GsnModel,
     GsnModule,
     Hazard,
     HazardStatus,
@@ -39,6 +45,7 @@ from gsnlint.rules import (
 from gsnlint.scaffold import scaffold_reference_model
 
 from conftest import FIXTURES
+from genmodels import random_model
 from mutations import MUTATIONS, mutate
 
 
@@ -388,6 +395,51 @@ class TestMutations:
         extra = [f for f in findings
                  if f.severity is Severity.ERROR and f.rule != mutation.rule]
         assert extra == [], mutation.description
+
+
+def _sorted_findings(model: GsnModel) -> list[tuple]:
+    return sorted((f.rule, f.severity.value, f.message, f.elements)
+                  for f in evaluate(model, make_profile("all")))
+
+
+class TestDeclarationOrder:
+    """Findings do not depend on the order in which elements, modules, edges
+    and registry items are declared."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(source=st.one_of(st.integers(0, 10**6), st.sampled_from(MUTATIONS)),
+           n_modules=st.integers(1, 3), rng=st.randoms(use_true_random=False))
+    def test_reordered_models_give_the_same_findings(self, reference_model, source,
+                                                     n_modules, rng):
+        model = (random_model(source) if isinstance(source, int)
+                 else mutate(reference_model, source))
+
+        def shuffled(items):
+            return rng.sample(items, len(items))
+
+        def rebuilt(modules, registries=model.registries):
+            return GsnModel(model.id, model.version, modules, registries,
+                            model.artifacts, model.fragmentary)
+
+        # Both model sources declare one module; spread its elements over a few.
+        elements = list(model.iter_elements())
+        size = -(-len(elements) // n_modules)
+        modules = [GsnModule(f"m{i}", elements[i * size:(i + 1) * size])
+                   for i in range(n_modules)]
+        expected = _sorted_findings(rebuilt(modules))
+        variants = {
+            "elements shuffled": rebuilt([GsnModule(m.id, shuffled(m.elements))
+                                          for m in modules]),
+            "modules shuffled": rebuilt(shuffled(modules)),
+            "edges reversed": rebuilt([GsnModule(m.id, [
+                replace(e, supported_by=e.supported_by[::-1],
+                        in_context_of=e.in_context_of[::-1]) for e in m.elements])
+                for m in modules]),
+            "registry items shuffled": rebuilt(modules, replace(model.registries, **{
+                name: shuffled(getattr(model.registries, name)) for name in REGISTRY_ITEMS})),
+        }
+        for name, variant in variants.items():
+            assert _sorted_findings(variant) == expected, name
 
 
 class TestSeverityOverrides:
