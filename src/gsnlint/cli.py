@@ -41,8 +41,7 @@ def _write(text: str, err: bool = False) -> None:
     """The one writer: non-empty text ends with a newline; a closed stream takes no more."""
     try:
         if text:  # an empty text touches no stream
-            # An explicit stream: click's default one is cached per stream
-            # object, which keeps every in-process caller's output alive.
+            # Explicit stream: click caches its default per stream, keeping in-process output alive.
             click.echo(text, nl=not text.endswith("\n"),
                        file=click.get_text_stream("stderr" if err else "stdout"))
     except BrokenPipeError:  # the reader stopped early
