@@ -77,10 +77,9 @@ def _write_file(path: str | Path, text: str) -> None:
 
 
 class _Main(click.Group):
-    """The CLI's one exit.  What a command returns or raises (`_End`), click's
-    `--help` text, its usage errors and an interrupt each become (stdout,
-    stderr, code); `_write` writes stderr, then stdout, and `sys.exit` runs
-    once.  An unexpected exception is one stderr line and exit 3, never 1."""
+    """The one exit: a command's result or `_End`, click's help, usage errors and
+    interrupts become (stdout, stderr, code), written by `_write` before one
+    `sys.exit`; an unexpected exception is one stderr line and exit 3, never 1."""
 
     def main(self, args=None, prog_name=None, **extra):
         printed = io.StringIO()  # what click prints itself: help, shell completion
@@ -95,10 +94,8 @@ class _Main(click.Group):
             except click.ClickException as exc:
                 exc.show(shown := io.StringIO())
                 err, code = shown.getvalue(), exc.exit_code
-            except (click.Abort, BrokenPipeError):
-                # An interrupt: click writes a newline to stderr before Abort,
-                # and into a closed stderr that write raises instead.
-                err, code = "Aborted!", 1
+            except (click.Abort, BrokenPipeError):  # Ctrl-C; click's "\n" before Abort
+                err, code = "Aborted!", 1  # raises BrokenPipeError on a closed stderr
             except SystemExit as exc:  # click ends shell completion itself
                 code = exc.code
             _write(err, err=True)
