@@ -76,13 +76,19 @@ def _write_file(path: str | Path, text: str) -> None:
         raise _End(2, f"cannot write '{path}': {exc.strerror}", "") from None
 
 
+class _Printed(io.StringIO):
+    """What click prints itself: help, shell completion.  Unhashable, so click's
+    per-stream cache of default streams, a WeakKeyDictionary, cannot keep it."""
+    __hash__ = None
+
+
 class _Main(click.Group):
     """The one exit: a command's result or `_End`, click's help, usage errors and
     interrupts become (stdout, stderr, code), written by `_write` before one
     `sys.exit`; an unexpected exception is one stderr line and exit 3, never 1."""
 
     def main(self, args=None, prog_name=None, **extra):
-        printed = io.StringIO()  # what click prints itself: help, shell completion
+        printed = _Printed()
         try:
             out, err, code = "", "", 0
             try:

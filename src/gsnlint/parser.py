@@ -1,33 +1,29 @@
 """Reader and writer for the `.sac.yaml` argumentation model format.
 
-Documents are composed into lean node trees (not plain-loaded) so every
-diagnostic can point at the line and column of the offending construct:
-`_Lean` builds one slotted `_Node` per YAML node from the loader's events,
-with no `Mark` objects, and `parse_model` still composes through
-`yaml.compose`.  All diagnostics in a batch of documents are collected
-before giving up; a model is only produced when no Error-level diagnostic
-was found.
+Each document is read straight from the YAML loader's events into records,
+with no node tree, inside one `yaml.compose` call; every diagnostic points
+at the line and column where its event starts.  All diagnostics in a batch
+of documents are collected before giving up; a model is only produced when
+no Error-level diagnostic was found.  A document that YAML refuses (a
+scanner or reader error, an undefined alias, a duplicate anchor, a second
+document, a node deeper than `MAX_DEPTH`) gives one `syntax` diagnostic.
 
 Parsing is table-driven.  Each record kind (element, assurance claim
 point, module, the four registry items, artifact, model header, and the
 registries section) has one `_Spec`: it maps every YAML key to a field
 name, a reader and the label used in diagnostics, and names the required
-keys.  `_DocParser.record` is the one walker that reads a mapping against
-a spec; `_DocParser.records` reads a sequence of entries.  A reader is any
-callable ``(parser, node, label) -> value`` that reports its own
-diagnostics and returns ``None`` for a value it cannot read; scalars,
-booleans, enumerations, lists of them, and specs themselves are readers.
-Fields that read as ``None`` are left to the dataclass default.  A key
-repeated in one mapping is an Error `duplicate-key`, even when lenient,
-and its second value is not read, unless its `_Key` appends (module
-elements, registry lists, context dimensions).  Elements, registry items
-and artifacts keep their mapping's location: the structural guard reports
-a repeated id there, after every per-document diagnostic.  Each collection's
-entries are detached from its node when it is read, and each sequence
-entry leaves its list before it is read, so the node tree is freed while
-the model grows; a collection that a YAML alias brings back is then an
-Error `alias` at the collection itself, since an alias composes to the
-anchored node and keeps no position of its own.
+keys.  A reader is any callable ``(parser, event, label) -> value`` that
+gets the event starting its value, reads or skips the rest of the value,
+reports its own diagnostics and returns ``None`` for a value it cannot
+read; fields that read as ``None`` are left to the dataclass default.  A
+key repeated in one mapping is an Error `duplicate-key`, even when
+lenient, and its second value is not read, unless its `_Key` appends.
+
+An alias to a scalar reads as the scalar.  Each collection is read at most
+once: an alias to one already read, or still open, is an Error `alias` at
+the anchored collection.  An anchored collection that was skipped (a key,
+an unknown or repeated key's value, a value of the wrong type) keeps its
+events, and an alias to it reads them in full.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ from __future__ import annotations
 import enum
 import gc
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import yaml
@@ -59,110 +56,16 @@ from .model import (
 )
 
 
-#: The deepest a document's nodes may nest (a valid model nests 8 deep).  The
-#: composer keeps its own stack and does not recurse, but the limit stays the
-#: documented contract: a deeper document is refused as it is composed.
+#: The deepest a document's nodes may nest (a valid model nests 8 deep); a
+#: deeper document is refused as it is read.
 MAX_DEPTH = 256
 
-_SCALAR, _SEQUENCE, _MAPPING = yaml.ScalarNode, yaml.SequenceNode, yaml.MappingNode
-_Resolver = yaml.resolver.BaseResolver
-#: The kind and default tag of the node that each kind of event starts.
-_KINDS = {yaml.ScalarEvent: (_SCALAR, _Resolver.DEFAULT_SCALAR_TAG),
-          yaml.SequenceStartEvent: (_SEQUENCE, _Resolver.DEFAULT_SEQUENCE_TAG),
-          yaml.MappingStartEvent: (_MAPPING, _Resolver.DEFAULT_MAPPING_TAG)}
+#: libyaml's safe loader, or PyYAML's pure-Python one where libyaml is missing.
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-
-class _Node:
-    """One composed YAML node.  `kind` is `yaml.ScalarNode`, `yaml.SequenceNode`
-    or `yaml.MappingNode`; `value` is a scalar's text, a sequence's entries, or
-    a mapping's keys and values in turn in one flat list; `line` and `column`
-    are 0-based, where the node starts.  The composer sets the fields one by
-    one: a Python `__init__` would cost twice as much per node."""
-
-    __slots__ = ("kind", "tag", "value", "line", "column")
-
-
-class _Lean:
-    """A composer for a safe loader that builds `_Node`s from the loader's own
-    events: one slotted node per YAML node and no `Mark` kept, with an
-    explicit stack of the open collections in place of recursion.  Tags
-    resolve as the safe loaders resolve them.  It refuses what libyaml's
-    composer refuses, with libyaml's messages and marks (an undefined alias,
-    a duplicate anchor, a second document), and a node deeper than
-    `MAX_DEPTH` at the start of the collection that holds it."""
-
-    def get_single_node(self) -> Optional[_Node]:
-        get_event = self.get_event
-        get_event()  # the stream start
-        event = get_event()
-        root = None
-        if type(event) is yaml.DocumentStartEvent:
-            event = get_event()
-            root_mark = event.start_mark
-            root = self._compose(event)
-            get_event()  # the document end
-            event = get_event()
-        if type(event) is not yaml.StreamEndEvent:
-            raise yaml.composer.ComposerError(
-                "expected a single document in the stream", root_mark,
-                "but found another document", event.start_mark)
-        return root
-
-    def _compose(self, event) -> _Node:
-        """The node that `event` starts, read to its last event."""
-        get_event, resolvers = self.get_event, self.yaml_implicit_resolvers
-        anchors: dict = {}  # anchor -> (its node, its start mark)
-        stack: list = []  # per open collection: its parent's entries, its start mark
-        entries: list = []  # the innermost open collection's entries
-        while True:
-            kind_tag = _KINDS.get(type(event))
-            if kind_tag is None:
-                if type(event) is yaml.AliasEvent:
-                    if event.anchor not in anchors:
-                        raise yaml.composer.ComposerError(
-                            None, None, "found undefined alias", event.start_mark)
-                    entries.append(anchors[event.anchor][0])
-                else:  # the end of the innermost collection
-                    entries = stack.pop()[0]
-            else:
-                kind, tag = kind_tag
-                mark, anchor = event.start_mark, event.anchor
-                if anchor in anchors:
-                    raise yaml.composer.ComposerError(
-                        "found duplicate anchor; first occurrence", anchors[anchor][1],
-                        "second occurrence", mark)
-                if len(stack) >= MAX_DEPTH:
-                    raise yaml.composer.ComposerError(
-                        None, None, f"document nests deeper than {MAX_DEPTH} levels",
-                        stack[-1][1])
-                explicit = event.tag
-                if explicit is not None and explicit != "!":
-                    tag = explicit
-                elif kind is _SCALAR and event.implicit[0]:
-                    value = event.value
-                    for resolved, regexp in resolvers.get(value[:1], ()):
-                        if regexp.match(value):
-                            tag = resolved
-                            break
-                node = _Node()
-                node.kind, node.tag, node.line, node.column = kind, tag, mark.line, mark.column
-                entries.append(node)
-                if kind is _SCALAR:
-                    node.value = event.value
-                else:
-                    node.value = []
-                    stack.append((entries, mark))
-                    entries = node.value
-                if anchor is not None:
-                    anchors[anchor] = node, mark
-            if not stack:
-                return entries[0]
-            event = get_event()
-
-
-class _Loader(_Lean, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The lean composer on libyaml's safe loader, or PyYAML's where it is missing."""
-
+_SCALAR, _SEQUENCE, _MAPPING = yaml.ScalarEvent, yaml.SequenceStartEvent, yaml.MappingStartEvent
+_SEQUENCE_END, _MAPPING_END, _ALIAS = yaml.SequenceEndEvent, yaml.MappingEndEvent, yaml.AliasEvent
+_NOUNS = {_SEQUENCE: "sequence", _MAPPING: "mapping"}
 
 _CDumper = getattr(yaml, "CSafeDumper", None)
 _DUMP_OPTIONS = dict(sort_keys=False, default_flow_style=False, allow_unicode=True, width=100)
@@ -172,124 +75,234 @@ _BOOL_VALUES = yaml.constructor.SafeConstructor.bool_values
 
 
 class _DocParser:
-    """Per-document node-tree walker accumulating diagnostics."""
+    """Reads one document's events into records and diagnostics, kept here
+    until `parse_model` takes them after a clean end of stream.  It is the
+    loader of `yaml.compose(text, Loader=parser.loader)`, and each reader
+    reads or skips all of its value's events."""
 
-    def __init__(self, path: str, lenient: bool, diags: list[ParseDiagnostic]):
-        self.path = path
-        self.lenient = lenient
-        self.diags = diags
+    def __init__(self, path: str, lenient: bool, header_declared: bool):
+        self.path, self.lenient = path, lenient
+        self.diags: list[ParseDiagnostic] = []
+        self.header_declared = header_declared
+        self.header: Optional[dict] = None
+        self.parts: list[dict] = []  # lists of modules, artifacts or registry items, by name
+        self.anchors: dict = {}  # anchor -> its scalar or collection start event
+        self.read: set = set()  # anchors of the collections read or open
+        self.recorded: dict = {}  # anchor of a skipped collection -> its events after its start
+        self.replays: list = []  # the recorded events being read again, innermost last
+        self.open: list = []  # the start marks of the loader's open collections
 
-    # -- diagnostics --------------------------------------------------
+    def loader(self, stream: str) -> _DocParser:
+        loader = _Loader(stream)
+        self.pull, self.dispose = loader.get_event, loader.dispose
+        return self
 
-    def error(self, node, code: str, message: str, severity=Severity.ERROR) -> None:
-        loc = self.location(node)
+    def get_single_node(self) -> None:
+        """Read the document's sections into `header` and `parts`."""
+        pull = self.pull
+        pull()  # the stream start
+        if type(pull()) is not yaml.DocumentStartEvent:
+            self.diags.append(ParseDiagnostic(
+                Severity.ERROR, "syntax", "document is empty", self.path))
+            return
+        root = self.next()
+        if self.take(root, _MAPPING, "document"):
+            for key_event, key, value in self.pairs():
+                declares = key == "model" and type(self.start(value)) is _MAPPING
+                if declares and self.header_declared:
+                    self.error(key_event, "model-header", "model header declared more than once")
+                    self.skip(value)
+                elif key == "model":
+                    self.header_declared |= declares
+                    self.header = self.record(value, _HEADER) or self.header
+                elif key in ("modules", "artifacts"):
+                    self.parts.append({key: self.records(value, key, _SECTIONS[key])})
+                elif key == "registries":
+                    self.parts.append(self.record(value, _REGISTRIES) or {})
+                else:
+                    self.unknown_key(key_event, key, "document", value)
+        pull()  # the document end
+        event = pull()
+        if type(event) is not yaml.StreamEndEvent:
+            raise yaml.composer.ComposerError(
+                "expected a single document in the stream", root.start_mark,
+                "but found another document", event.start_mark)
+
+    # -- events, diagnostics and values ---------------------------------
+
+    def next(self):
+        """The next event, of the innermost replay or else of the loader, where an
+        undefined alias and a duplicate anchor are refused with libyaml's messages
+        and marks, and a node past `MAX_DEPTH` at the collection holding it."""
+        while self.replays:
+            event = next(self.replays[-1], None)
+            if event is not None:
+                return event
+            self.replays.pop()  # the replayed collection has ended
+        event = self.pull()
+        kind = type(event)
+        if kind is _ALIAS:
+            target = self.anchors.get(event.anchor)
+            if target is None:
+                raise yaml.composer.ComposerError(
+                    None, None, "found undefined alias", event.start_mark)
+            if type(target) is _SCALAR:
+                return target
+            event.start_mark = target.start_mark  # diagnostics place it at the collection
+            return event
+        if kind is _SEQUENCE_END or kind is _MAPPING_END:
+            self.open.pop()
+            return event
+        if len(self.open) >= MAX_DEPTH:
+            raise yaml.composer.ComposerError(
+                None, None, f"document nests deeper than {MAX_DEPTH} levels", self.open[-1])
+        anchor = event.anchor
+        if anchor is not None:
+            first = self.anchors.setdefault(anchor, event)
+            if first is not event:
+                raise yaml.composer.ComposerError(
+                    "found duplicate anchor; first occurrence", first.start_mark,
+                    "second occurrence", event.start_mark)
+        if kind is not _SCALAR:
+            self.open.append(event.start_mark)
+        return event
+
+    def start(self, event):
+        """The event that starts the value `event` stands for."""
+        return self.anchors[event.anchor] if type(event) is _ALIAS else event
+
+    def skip(self, event) -> None:
+        """Consume the events of a value that is not read, keeping those of
+        each anchored collection in it for an alias to read."""
+        # No events follow a scalar or an alias.
+        events, open_at = [event], [(0, event.anchor)] if type(event) in _NOUNS else []
+        while open_at:
+            event = self.next()
+            events.append(event)
+            if type(event) in _NOUNS:
+                open_at.append((len(events) - 1, event.anchor))
+            elif type(event) is _SEQUENCE_END or type(event) is _MAPPING_END:
+                start, anchor = open_at.pop()
+                if anchor is not None:
+                    self.recorded[anchor] = islice(events, start + 1, len(events))
+
+    def error(self, event, code: str, message: str, severity=Severity.ERROR) -> None:
+        loc = self.location(event)
         self.diags.append(ParseDiagnostic(severity, code, message, loc.file, loc.line, loc.column))
 
-    def unknown_key(self, key_node, key: str, where: str) -> None:
-        self.error(key_node, "unknown-key", f"unknown key '{key}' in {where}",
+    def unknown_key(self, key_event, key: str, where: str, value) -> None:
+        """Report an unknown key and skip its value."""
+        self.error(key_event, "unknown-key", f"unknown key '{key}' in {where}",
                    Severity.WARNING if self.lenient else Severity.ERROR)
+        self.skip(value)
 
-    def location(self, node) -> SourceLocation:
-        return SourceLocation(self.path, node.line + 1, node.column + 1)
+    def location(self, event) -> SourceLocation:
+        mark = event.start_mark
+        return SourceLocation(self.path, mark.line + 1, mark.column + 1)
 
-    # -- node coercion ------------------------------------------------
+    def take(self, event, kind, where: str) -> bool:
+        """Whether `event` starts a `kind` collection to read, else `bad-type`, or
+        `alias` for one read before or still open; an alias to a skipped one replays it."""
+        start = self.start(event)
+        if type(start) is not kind:
+            self.error(event, "bad-type", f"{where} must be a {_NOUNS[kind]}")
+        elif start.anchor is None:
+            return True
+        elif start.anchor in self.read:
+            self.error(event, "alias", f"{where} is an alias to a collection read before")
+        else:
+            self.read.add(start.anchor)
+            if start is not event:
+                self.replays.append(self.recorded.pop(start.anchor))
+            return True
+        self.skip(event)
+        return False
 
-    def take(self, node, kind, where: str) -> Optional[list]:
-        """The entries of a `kind` collection node (a mapping's keys and
-        values in turn), detached from it; ``None`` and `bad-type` for
-        another node, or `alias` when an alias brings back a collection
-        already taken."""
-        if node.kind is not kind:
-            self.error(node, "bad-type", f"{where} must be a {kind.id}")
-            return None
-        value = node.value
-        if value is None:
-            self.error(node, "alias", f"{where} is an alias to a collection read before")
-            return None
-        node.value = None
-        return value
-
-    def string(self, node, where: str) -> Optional[str]:
-        if node.kind is not _SCALAR or node.tag.endswith((":map", ":seq")):
-            self.error(node, "bad-type", f"{where} must be a scalar")
-            return None
-        return node.value
-
-    def boolean(self, node, where: str) -> Optional[bool]:
-        if node.kind is _SCALAR and node.tag == "tag:yaml.org,2002:bool":
-            value = _BOOL_VALUES.get(node.value.lower())
-            if value is not None:
-                return value
-        self.error(node, "bad-type", f"{where} must be a boolean")
+    def string(self, event, where: str) -> Optional[str]:
+        if type(event) is _SCALAR and not (event.tag or "").endswith((":map", ":seq")):
+            return event.value
+        self.error(event, "bad-type", f"{where} must be a scalar")
+        self.skip(event)
         return None
 
-    def enum(self, node, enum_cls, where: str):
-        raw = self.string(node, where)
+    def boolean(self, event, where: str) -> Optional[bool]:
+        if type(event) is _SCALAR:
+            tag, value = event.tag, event.value
+            if tag in (None, "!") and event.implicit[0]:  # resolved as the safe loaders do
+                resolvers = yaml.resolver.Resolver.yaml_implicit_resolvers.get(value[:1], ())
+                tag = next((t for t, regexp in resolvers if regexp.match(value)), None)
+            if tag == "tag:yaml.org,2002:bool" and value.lower() in _BOOL_VALUES:
+                return _BOOL_VALUES[value.lower()]
+        self.error(event, "bad-type", f"{where} must be a boolean")
+        self.skip(event)
+        return None
+
+    def enum(self, event, enum_cls, where: str):
+        raw = self.string(event, where)
         if raw is None:
             return None
         member = enum_cls._value2member_map_.get(raw)
         if member is None:
             allowed = ", ".join(enum_cls._value2member_map_)
-            self.error(node, "unknown-enum",
+            self.error(event, "unknown-enum",
                        f"unknown enumeration value '{raw}' for {where} (expected one of: {allowed})")
         return member
 
     # -- records ------------------------------------------------------
 
-    def records(self, node, where: str, read: _Reader,
-                entry_where: Optional[str] = None) -> list:
+    def records(self, event, where: str, read: _Reader, entry_where: Optional[str] = None) -> list:
         """Read every entry of a sequence; entries that do not read are skipped."""
-        entry_where = entry_where or f"entry of {where}"
-        entries = self.take(node, _SEQUENCE, where) or ()
         out = []
-        for i, entry in enumerate(entries):
-            entries[i] = None  # lower peak RSS: the model reuses each freed entry
-            value = read(self, entry, entry_where)
-            if value is not None:
-                out.append(value)
+        if self.take(event, _SEQUENCE, where):
+            entry_where = entry_where or f"entry of {where}"
+            next_event = self.next
+            while type(entry := next_event()) is not _SEQUENCE_END:
+                value = read(self, entry, entry_where)
+                if value is not None:
+                    out.append(value)
         return out
 
-    def record(self, node, spec: _Spec):
+    def pairs(self):
+        """(key event, key, value event) of the mapping just taken; the caller
+        reads or skips each value.  A collection as key is named '<non-scalar>'."""
+        next_event = self.next
+        while type(key_event := next_event()) is not _MAPPING_END:
+            if type(key_event) is _SCALAR:
+                key = key_event.value
+            else:
+                key = "<non-scalar>"
+                self.skip(key_event)
+            yield key_event, key, next_event()
+
+    def record(self, event, spec: _Spec):
         """Read one mapping against `spec`; ``None`` when it cannot be built."""
-        entries = self.take(node, _MAPPING, spec.where)
-        if entries is None:
+        if not self.take(event, _MAPPING, spec.where):
             return None
-        values: dict = {"location": self.location(node)} if spec.located else {}
+        values: dict = {"location": self.location(event)} if spec.located else {}
         keys = spec.keys
-        for key_node, value_node in _pairs(entries):
-            key = _key_name(key_node)
+        for key_event, key, value_event in self.pairs():
             entry = keys.get(key)
             if entry is None:
-                self.unknown_key(key_node, key, spec.where)
+                self.unknown_key(key_event, key, spec.where, value_event)
                 continue
             field, read, label, append = entry
             if field not in values:
-                values[field] = read(self, value_node, label)
+                values[field] = read(self, value_event, label)
             elif append:
-                values[field] += read(self, value_node, label)
+                values[field] += read(self, value_event, label)
             else:
-                self.error(key_node, "duplicate-key", f"duplicate key '{key}' in {spec.where}")
+                self.error(key_event, "duplicate-key", f"duplicate key '{key}' in {spec.where}")
+                self.skip(value_event)
         if None in map(values.get, spec.required):
             if not all(key in values for key in spec.required):
-                self.error(node, "missing-key", spec.missing_message)
+                self.error(event, "missing-key", spec.missing_message)
             return None
         if None in values.values():
             values = {k: v for k, v in values.items() if v is not None}
         return spec.build(**values)
 
 
-def _key_name(node) -> str:
-    """A mapping key as the spec tables and diagnostics name it."""
-    return node.value if node.kind is _SCALAR else "<non-scalar>"
-
-
-def _pairs(entries: list):
-    """(key node, value node) of a mapping's flat entries."""
-    keys_and_values = iter(entries)
-    return zip(keys_and_values, keys_and_values)
-
-
-_Reader = Callable[[_DocParser, _Node, str], object]
+_Reader = Callable[[_DocParser, object, str], object]
 
 
 class _Key(NamedTuple):
@@ -323,16 +336,16 @@ class _Spec:
                   else ", ".join(quoted[:-1]) + ", and " + quoted[-1])
         return f"{self.where} requires {listed}"
 
-    def __call__(self, parser: _DocParser, node, label: str):
-        return parser.record(node, self)
+    def __call__(self, parser: _DocParser, event, label: str):
+        return parser.record(event, self)
 
 
 def _enum(enum_cls) -> _Reader:
-    return lambda parser, node, label: parser.enum(node, enum_cls, label)
+    return lambda parser, event, label: parser.enum(event, enum_cls, label)
 
 
 def _list(read: _Reader, entry_label: Optional[str] = None) -> _Reader:
-    return lambda parser, node, label: parser.records(node, label, read, entry_label)
+    return lambda parser, event, label: parser.records(event, label, read, entry_label)
 
 
 def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...]) -> _Spec:
@@ -382,12 +395,13 @@ _REGISTRIES = _Spec("registries", dict, {
                                append=True),
 })
 
-_ARTIFACT = _dataclass_spec(Artifact, "artifact entry", "artifact {}", ("id", "role"))
+_SECTIONS = {"modules": _MODULE, "artifacts": _dataclass_spec(
+    Artifact, "artifact entry", "artifact {}", ("id", "role"))}
 
 _HEADER = _Spec("model header", dict, {
     "id": _Key("id", _DocParser.string, "model id"),
     # An empty version reads as None, so it falls back to the default "0".
-    "version": _Key("version", lambda parser, node, label: parser.string(node, label) or None,
+    "version": _Key("version", lambda parser, event, label: parser.string(event, label) or None,
                     "model version"),
     "fragmentary": _Key("fragmentary", _DocParser.boolean, "fragmentary"),
 }, required=("id",))
@@ -404,83 +418,63 @@ def parse_model(
     demote to warnings.
 
     The cyclic garbage collector is paused for the call and left as it was
-    found: the node tree and the model are many small objects, and the
-    collector would rescan them again and again as they grow.
+    found: the model is many small objects, and the collector would rescan
+    them again and again as they grow.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _parse_documents(documents, lenient)
+        if not documents:
+            return None, [ParseDiagnostic(Severity.ERROR, "usage", "no input documents given")]
+
+        diags: list[ParseDiagnostic] = []
+        header: Optional[dict] = None
+        header_declared = False
+        parts: dict[str, list] = {}  # modules, artifacts and each registry's items
+
+        for path, text in documents:
+            parser = _DocParser(path, lenient, header_declared)
+            try:
+                yaml.compose(text, Loader=parser.loader)
+            except yaml.YAMLError as exc:
+                diags.append(ParseDiagnostic(Severity.ERROR, "syntax", f"malformed document: {exc}",
+                                             path, *_error_position(exc, text)))
+                continue
+            diags += parser.diags
+            header, header_declared = parser.header or header, parser.header_declared
+            for found in parser.parts:
+                for name, items in found.items():
+                    parts.setdefault(name, []).extend(items)
+
+        if header is None:
+            diags.append(ParseDiagnostic(
+                Severity.ERROR, "model-header", "no model header found in any document",
+                documents[0][0]))
+
+        model = GsnModel(**(header or {"id": ""}), modules=parts.pop("modules", []),
+                         artifacts=parts.pop("artifacts", []), registries=Registries(**parts))
+        for problem in find_structural_problems(model):
+            loc = problem.location
+            diags.append(ParseDiagnostic(
+                Severity.ERROR, problem.code, problem.message, loc.file, loc.line, loc.column))
+
+        if any(d.severity is Severity.ERROR for d in diags):
+            return None, diags
+        return model, diags
     finally:
         if was_enabled:
             gc.enable()
 
 
-def _parse_documents(
-    documents: list[tuple[str, str]], lenient: bool
-) -> tuple[Optional[GsnModel], list[ParseDiagnostic]]:
-    diags: list[ParseDiagnostic] = []
-    if not documents:
-        diags.append(ParseDiagnostic(
-            Severity.ERROR, "usage", "no input documents given"))
-        return None, diags
-
-    header: Optional[dict] = None
-    header_declared = False
-    modules: list[GsnModule] = []
-    registries: dict[str, list] = {}
-    artifacts: list[Artifact] = []
-
-    for path, text in documents:
-        parser = _DocParser(path, lenient, diags)
-        try:
-            root = yaml.compose(text, Loader=_Loader)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            line = mark.line + 1 if mark else 1
-            column = mark.column + 1 if mark else 1
-            diags.append(ParseDiagnostic(
-                Severity.ERROR, "syntax", f"malformed document: {exc}", path, line, column))
-            continue
-        if root is None:
-            diags.append(ParseDiagnostic(
-                Severity.ERROR, "syntax", "document is empty", path))
-            continue
-        for key_node, value in _pairs(parser.take(root, _MAPPING, "document") or ()):
-            key = _key_name(key_node)
-            if key == "model":
-                is_mapping = value.kind is _MAPPING
-                if header_declared and is_mapping:
-                    parser.error(key_node, "model-header",
-                                 "model header declared more than once")
-                    continue
-                header_declared = header_declared or is_mapping
-                header = parser.record(value, _HEADER) or header
-            elif key == "modules":
-                modules += parser.records(value, "modules", _MODULE)
-            elif key == "registries":
-                for name, items in (parser.record(value, _REGISTRIES) or {}).items():
-                    registries.setdefault(name, []).extend(items)
-            elif key == "artifacts":
-                artifacts += parser.records(value, "artifacts", _ARTIFACT)
-            else:
-                parser.unknown_key(key_node, key, "document")
-
-    if header is None:
-        diags.append(ParseDiagnostic(
-            Severity.ERROR, "model-header", "no model header found in any document",
-            documents[0][0]))
-
-    model = GsnModel(**(header or {"id": ""}), modules=modules,
-                     registries=Registries(**registries), artifacts=artifacts)
-    for problem in find_structural_problems(model):
-        loc = problem.location
-        diags.append(ParseDiagnostic(
-            Severity.ERROR, problem.code, problem.message, loc.file, loc.line, loc.column))
-
-    if any(d.severity is Severity.ERROR for d in diags):
-        return None, diags
-    return model, diags
+def _error_position(exc: yaml.YAMLError, text: str) -> tuple[int, int]:
+    """The 1-based line and column of `exc` in `text`; a reader error has an offset."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None:
+        return mark.line + 1, mark.column + 1
+    offset = getattr(exc, "position", 0)
+    if not issubclass(_Loader, yaml.reader.Reader):  # libyaml counts UTF-8 bytes
+        offset = len(text.encode("utf-8")[:offset].decode("utf-8", "ignore"))
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def load_model(

@@ -34,7 +34,13 @@ own output: `--help` of the group, `check` and `trace`, no arguments, an
 unknown command, usage errors (`check --format xml`, a malformed and an
 unknown `--severity`, an unknown `--profile`, `check` with no paths,
 `trace` of an unknown registry); each run's (argv, exit code, stdout,
-stderr) and every file in the directory afterwards, by name and bytes.  It
+stderr) and every file in the directory afterwards, by name and bytes.  A
+`parse` line hashes `parse_model`'s diagnostics (severity, code, message,
+file, line, column) and canonical dict, strict and lenient, on its error
+paths: the seeded mutation and alias corpora of `test_parser_table.py`,
+`genmodels.alias_document`, each `NEST_SHAPES` nest at `parser.MAX_DEPTH`
+and one level past it, and one text per composer refusal (an undefined
+alias, a duplicate anchor, a second document).  It
 tests whichever `gsnlint` is importable; to compare two checkouts, run it
 once against each:
 
@@ -58,12 +64,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 from click.testing import CliRunner
 
 from conftest import FIXTURES, bad_fixture_paths, good_fixture_groups
-from genmodels import (EDGE_STRINGS, FALLBACK_STRINGS, big_model, ill_formed_model,
-                       random_model, string_model)
+from genmodels import (EDGE_STRINGS, FALLBACK_STRINGS, NEST_SHAPES, alias_document, big_model,
+                       ill_formed_model, nest, random_model, string_model)
 from mutations import MUTATIONS, mutate
+from test_parser_table import aliased_cases, mutated_cases
 from gsnlint import cli
-from gsnlint.model import DEFAULT_CONTEXT_DIMENSIONS
-from gsnlint.parser import load_model, serialize_model, serialize_registries
+from gsnlint.model import DEFAULT_CONTEXT_DIMENSIONS, canonical_dict
+from gsnlint.parser import (MAX_DEPTH, load_model, parse_model, serialize_model,
+                            serialize_registries)
 from gsnlint.rules import evaluate, make_profile
 from gsnlint.scaffold import ScaffoldOptions, scaffold_reference_model
 
@@ -233,6 +241,30 @@ CLI_RUNS = [
 ]
 
 
+#: One text per refusal of the safe loaders' composers.
+COMPOSER_REFUSALS = ("model: {id: m}\nbogus: 1\na: [1, *x]\n",
+                     "model: {id: m}\nbogus: 1\na: &x [1]\nb:\n  c: &x 2\n",
+                     "model: {id: m}\nbogus: 1\n--- [b]\n")
+
+
+def parse_digest() -> tuple[str, int]:
+    """(sha256 over `parse_model`'s verdicts on its error paths, case count)."""
+    cases = [documents for seed in range(4) for _, documents in mutated_cases(250, seed)]
+    cases += [documents for _, documents in aliased_cases(200, 0)]
+    cases += [[("alias.sac.yaml", alias_document(k))] for k in (2, 5)]
+    cases += [[("nest.sac.yaml", nest(shape, depth))]
+              for shape in NEST_SHAPES for depth in (MAX_DEPTH, MAX_DEPTH + 1)]
+    cases += [[("refused.sac.yaml", text)] for text in COMPOSER_REFUSALS]
+    sha = hashlib.sha256()
+    for documents in cases:
+        for lenient in (False, True):
+            model, diags = parse_model(documents, lenient=lenient)
+            record = [[[d.severity.value, d.code, d.message, d.file, d.line, d.column]
+                       for d in diags], model and canonical_dict(model)]
+            sha.update(json.dumps(record).encode("utf-8") + b"\n")
+    return sha.hexdigest(), len(cases)
+
+
 def cli_digest(root: Path) -> tuple[str, int]:
     """(sha256 over CLI_RUNS, run count); `root` is the working directory."""
     runner = CliRunner()
@@ -269,6 +301,8 @@ def main() -> None:
     print(f"{'structure':9} {digest}  ({count} models)")
     digest, runs = cli_runs
     print(f"{'cli':9} {digest}  ({runs} runs)")
+    digest, count = parse_digest()
+    print(f"{'parse':9} {digest}  ({count} cases)")
 
 
 if __name__ == "__main__":

@@ -317,6 +317,18 @@ class TestWriter:
         gc.collect()
         assert len(gc.get_objects()) - before <= 40  # 80 invokes
 
+    @pytest.mark.parametrize("args", [["--help"], ["check", "--help"]])
+    def test_in_process_help_leaves_nothing_behind(self, runner, args):
+        # click's help echoes to the default stream it caches per sys.stdout,
+        # which is the capture of click's own output while it runs.
+        runner.invoke(main, args)
+        gc.collect()
+        before = len(gc.get_objects())
+        for _ in range(50):
+            assert runner.invoke(main, args).exit_code == 0
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 25  # 50 invokes
+
     def test_a_non_utf8_locale_still_gets_utf8_text(self, tmp_path):
         path = tmp_path / "model.sac.yaml"
         path.write_text('model: {id: root-only, version: "1"}\nmodules:\n  - id: main\n'

@@ -1,21 +1,22 @@
-"""`parser._Loader` composes every document exactly as the safe loaders do.
+"""`parse_model` reads alike on libyaml and on PyYAML's own loader.
 
-`_Loader` mixes `parser._Lean`, a composer that builds one slotted lean
-node per YAML node from the loader's own events, into libyaml's
-`CSafeLoader` (PyYAML's pure-Python `SafeLoader` where libyaml is missing);
-`LeanSafeLoader` is the same mixin on `SafeLoader`.  Every fixture and
-generated scalars compose to the same node kinds, tags, scalar values,
-lines and columns under both lean loaders as under their safe bases; so
-does the seeded mutation corpus of `test_parser_table.py`, under the
-pure-Python pair on one seed of four.  Both lean loaders refuse an
-undefined alias, a duplicate anchor and a second document at the marks
-their bases use, with libyaml's messages; an empty stream composes to
-``None`` and an alias to a collection still open to the collection itself.
-A document nested deeper than `parser.MAX_DEPTH` is a `yaml.YAMLError` at
-the start of the collection at that depth, not a recursion error or a
-crash, and `parse_model` reads every fixture alike.  The last test pins
-how `parse_model` calls `yaml.compose`: through the module attribute, once
-per document, which the benchmark's `parser.compose_s` span relies on.
+The lean loader is `parse_model`'s reader, `parser._DocParser`, which builds
+records straight from the events of `parser._Loader`: libyaml's
+`CSafeLoader`, or PyYAML's pure-Python `SafeLoader` where libyaml is
+missing.  Each backend is tested through `parse_model` itself, with
+`parser._Loader` (and the reference parser's loader in
+`test_parser_table.py`) set to it.  On both, every fixture, part of the
+seeded mutation corpus and a seeded corpus of anchored and aliased
+collections give the reference parser's diagnostics, canonical dict and
+locations, and so do scalars that YAML 1.1 resolves to other tags.  A
+document that YAML refuses gives one `syntax` diagnostic and nothing else,
+whatever was read before the refusal: libyaml's messages at the marks the
+base composer uses for an undefined alias, a duplicate anchor and a second
+document; the start of the collection at depth `parser.MAX_DEPTH` for a
+deeper node; and the offending character for a reader error.  The last
+test pins how `parse_model` calls `yaml.compose`: through the module
+attribute, once per document, which the benchmark's `parser.compose_s` span
+relies on.
 """
 
 from __future__ import annotations
@@ -27,88 +28,91 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import test_parser_table
 from gsnlint import parser
 from gsnlint.parser import parse_model
 
 from genmodels import NEST_SHAPES, nest
-from test_parser_table import fixture_documents, mutated_cases, outcome
+from test_parser_table import (aliased_cases, fixture_documents, mutated_cases, outcome,
+                               reference_parse_model)
+
+#: Each backend by the name of its loader class: the package's own, and the
+#: pure-Python one it falls back to.
+BACKENDS = {"_Loader": parser._Loader, "SafeLoader": yaml.SafeLoader}
+BY_BACKEND = [pytest.param(loader, id=name) for name, loader in BACKENDS.items()]
 
 
-class LeanSafeLoader(parser._Lean, yaml.SafeLoader):
-    """The lean composer on the pure-Python loader: `_Loader` as the package
-    builds it without libyaml."""
+def read_with(monkeypatch, loader) -> None:
+    """Read with `loader`, in `parse_model` and in the reference parser."""
+    monkeypatch.setattr(parser, "_Loader", loader)
+    monkeypatch.setattr(test_parser_table, "_Loader", loader)
 
 
-#: Each lean loader and the loader it must agree with on every input.
-PAIRS = [(parser._Loader, parser._Loader.__bases__[-1]), (LeanSafeLoader, yaml.SafeLoader)]
-ALL = tuple(dict.fromkeys(loader for pair in PAIRS for loader in pair))
-#: `PAIRS` as test parameters, named by their lean loader.
-BY_LEAN = [pytest.param(lean, base, id=lean.__name__) for lean, base in PAIRS]
+def assert_reads_as_reference(documents, context) -> None:
+    for lenient in (False, True):
+        assert outcome(parse_model, documents, lenient) == \
+            outcome(reference_parse_model, documents, lenient), (context, lenient, documents)
 
 
-def node_tags(text: str, loader) -> list[tuple] | None:
-    """(node kind, tag, scalar value, line, column) of every node in document
-    order, read from `yaml.Node`s or lean nodes alike; a collection met
-    again through an alias is ("alias", its index in the list).  None when
-    the text does not compose."""
-    try:
-        root = yaml.compose(text, Loader=loader)
-    except yaml.YAMLError:
-        return None
-    out: list[tuple] = []
-    seen: dict[int, int] = {}
-    stack = [root] if root is not None else []
-    while stack:
-        node = stack.pop()
-        if isinstance(node, yaml.Node):
-            kind, value = type(node), node.value
-            line, column = node.start_mark.line, node.start_mark.column
-            if kind is yaml.MappingNode:
-                value = [part for pair in value for part in pair]
-        else:
-            kind, value, line, column = node.kind, node.value, node.line, node.column
-        if kind is yaml.ScalarNode:
-            out.append((kind.__name__, node.tag, value, line, column))
-        elif id(node) in seen:
-            out.append(("alias", seen[id(node)]))
-        else:
-            seen[id(node)] = len(out)
-            out.append((kind.__name__, node.tag, None, line, column))
-            stack += reversed(value)
-    return out
+def on_each_backend(monkeypatch, cases) -> None:
+    """Every (context, documents) case reads as the reference on both backends."""
+    cases = list(cases)
+    for loader in BACKENDS.values():
+        read_with(monkeypatch, loader)
+        for context, documents in cases:
+            assert_reads_as_reference(documents, context)
 
 
-def assert_same_tags(text: str, loaders=ALL) -> None:
-    """A lean loader composes exactly what its base composes, below its depth
-    limit, to the same kinds, tags, values and positions.  Where the two
-    bases agree, so do all four.
-    The bases themselves may disagree: on ``[0,!, x]`` libyaml reads `!` as
-    an empty scalar's tag, and the pure-Python scanner reads `!,` as `x`'s."""
-    tags = {loader: node_tags(text, loader) for loader in loaders}
-    for lean, base in PAIRS:
-        if lean in tags and base in tags:
-            assert tags[lean] == tags[base], (lean.__name__, text)
+def syntax_diagnostic(text: str) -> tuple:
+    """(line, column, message) of the one diagnostic a refused document gives."""
+    model, diags = parse_model([("bad.sac.yaml", text)])
+    assert model is None
+    assert [d.code for d in diags] == ["syntax", "model-header"], diags
+    return diags[0].line, diags[0].column, diags[0].message
 
 
 def test_lean_loader_builds_on_libyaml_where_present():
-    base = parser._Loader.__bases__[-1]
-    assert base is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    assert parser._Loader is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
 
 
-def test_fixtures_compose_to_the_same_tags():
-    for _, documents in fixture_documents():
-        for _, text in documents:
-            assert_same_tags(text)
+def test_fixtures_compose_to_the_same_tags(monkeypatch):
+    on_each_backend(monkeypatch, fixture_documents())
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_mutation_corpus_composes_to_the_same_tags(seed):
-    """`_Loader` against its base on every case, and the pure-Python pair,
-    ten times slower, on the first seed's cases."""
-    loaders = ALL if seed == 0 else PAIRS[0]
-    for _, documents in mutated_cases(250, seed):
-        for _, text in documents:
-            assert_same_tags(text, loaders)
+def test_mutation_corpus_composes_to_the_same_tags(monkeypatch, seed):
+    """25 cases a seed on both backends; `test_parser_table.py` checks 250 a
+    seed on libyaml."""
+    on_each_backend(monkeypatch, mutated_cases(25, seed))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_alias_corpus_reads_as_reference(monkeypatch, seed):
+    """Anchored collections skipped (under unknown keys, in a scalar's slot)
+    and then aliased where they are read, and aliases to collections read
+    before or still open: 40 cases a seed on both backends."""
+    on_each_backend(monkeypatch, aliased_cases(40, seed))
+
+
+#: A header, then anchored collections that are skipped and aliased later.
+_SKIPPED = "model: {id: m}\n"
+
+
+@pytest.mark.parametrize("text", [
+    _SKIPPED + "extra: &E [{id: m1, elements: [{id: G1, kind: goal}]}]\nmodules: *E\n",
+    _SKIPPED + "extra: [&E {id: G1, kind: goal}]\nmodules: [{id: m1, elements: [*E, *E]}]\n",
+    _SKIPPED + "? &K [{id: m1}]\n: x\nmodules: *K\n",
+    _SKIPPED + "modules: [{id: &K [a], elements: *K}]\n",
+    _SKIPPED + "modules: [{id: m1, elements: [{id: G1, kind: &E [x], text: *E}]}]\n",
+    _SKIPPED + "extra: &A [&B [{id: m1}], *B]\nmodules: *B\nmore: *A\nartifacts: *A\n",
+    _SKIPPED + "extra: &A [{id: m1}, *A]\nmodules: *A\n",
+    "model: &M {id: m, id: n, extra: &E [{id: m1}]}\nmodules: *E\n",
+    "&D {model: {id: m}, modules: [*D]}\n",
+], ids=["under-unknown-key", "nested-twice", "as-key", "bad-type-then-read",
+        "bad-type-twice", "nested-anchors", "self-alias-skipped", "repeated-key",
+        "open-document"])
+def test_skipped_anchored_collections_read_as_reference(monkeypatch, text):
+    on_each_backend(monkeypatch, [(text, [("case.sac.yaml", text)])])
 
 
 #: Plain scalars that YAML 1.1 resolves to other tags, and near misses.
@@ -127,67 +131,86 @@ _SCALARS = st.one_of(
 
 
 def _styled(value: str, style: str) -> str:
-    if style == "plain":
-        return value
+    if style in ("plain", "!"):
+        return "! " + value if style == "!" else value
     if style == "single":
         return "'" + value.replace("'", "''") + "'"
     return json.dumps(value)
 
 
-@settings(max_examples=300, deadline=None)
-@given(value=_SCALARS, style=st.sampled_from(["plain", "single", "double"]))
-@example(value="0,!", style="plain")
-def test_scalars_compose_to_the_same_tags(value, style):
-    scalar = _styled(value, style)
-    assert_same_tags(f"a: {scalar}\n{scalar}: b\nc: [{scalar}, x]\nd:\n  - {scalar}\n")
+@settings(max_examples=200, deadline=None)
+@given(value=_SCALARS, style=st.sampled_from(["plain", "single", "double", "!"]),
+       tag=st.sampled_from(["", "!!str ", "!!map ", "!!seq "]))
+@example(value="0,!", style="plain", tag="")
+@example(value="yes", style="plain", tag="!!str ")
+def test_scalars_compose_to_the_same_tags(value, style, tag):
+    """The boolean and scalar readers resolve tags as libyaml's composer does."""
+    scalar = tag + _styled(value, style)
+    text = (f"model: {{id: m, fragmentary: {scalar}}}\nmodules:\n  - id: m1\n    elements:\n"
+            f"      - {{id: G1, kind: goal, undeveloped: {scalar}, text: {scalar}}}\n")
+    try:
+        yaml.compose(text, Loader=BACKENDS["_Loader"])
+    except yaml.YAMLError:
+        return  # not a document on its own: the scanner's messages are the backend's
+    assert_reads_as_reference([("case.sac.yaml", text)], text)
 
 
-def composer_error(text: str, loader) -> yaml.YAMLError:
+def base_error(text: str, loader) -> yaml.YAMLError:
     with pytest.raises(yaml.YAMLError) as caught:
         yaml.compose(text, Loader=loader)
     return caught.value
 
 
-def marks(exc: yaml.YAMLError) -> list:
-    return [(mark.line, mark.column) if mark else None
-            for mark in (exc.context_mark, exc.problem_mark)]
-
-
 #: Texts that the safe loaders' composers refuse, one per refusal, with
-#: libyaml's context and problem, which the lean composer uses on both backends.
+#: libyaml's context and problem, which the reader uses on both backends.
+#: Each refusal comes after records with diagnostics of their own.
 COMPOSER_ERRORS = {
-    "undefined-alias": ("a: [1, *x]\n", None, "found undefined alias"),
-    "duplicate-anchor": ("a: &x [1]\nb:\n  c: &x 2\n",
+    "undefined-alias": ("model: {id: m}\nbogus: 1\na: [1, *x]\n", None, "found undefined alias"),
+    "duplicate-anchor": ("model: {id: m}\nbogus: 1\na: &x [1]\nb:\n  c: &x 2\n",
                          "found duplicate anchor; first occurrence", "second occurrence"),
-    "second-document": ("a: 1\n--- [b]\n",
+    "second-document": ("model: {id: m}\nbogus: 1\n--- [b]\n",
                         "expected a single document in the stream", "but found another document"),
 }
 
 
-@pytest.mark.parametrize("lean,base", BY_LEAN)
+@pytest.mark.parametrize("loader", BY_BACKEND)
 @pytest.mark.parametrize("text,context,problem", COMPOSER_ERRORS.values(), ids=COMPOSER_ERRORS)
-def test_lean_loaders_refuse_what_their_bases_refuse(lean, base, text, context, problem):
-    """At the same marks, and with libyaml's message on both backends.
-    PyYAML's pure-Python composer quotes the anchor in its alias and anchor
-    messages, so against `SafeLoader` only the marks are compared."""
-    expected, got = composer_error(text, base), composer_error(text, lean)
-    assert marks(got) == marks(expected)
-    assert (got.context, got.problem) == (context, problem)
-    if base is getattr(yaml, "CSafeLoader", None):
-        assert str(got) == str(expected)
+def test_lean_loaders_refuse_what_their_bases_refuse(monkeypatch, loader, text, context, problem):
+    """As one `syntax` diagnostic at the base composer's marks, with libyaml's
+    message on both backends.  PyYAML's pure-Python composer quotes the
+    anchor in its alias and anchor messages, so of it only the marks are taken."""
+    read_with(monkeypatch, loader)
+    base = base_error(text, loader)
+    expected = yaml.composer.ComposerError(context, base.context_mark, problem, base.problem_mark)
+    mark = base.problem_mark
+    assert syntax_diagnostic(text) == (mark.line + 1, mark.column + 1,
+                                       f"malformed document: {expected}")
+    if loader is getattr(yaml, "CSafeLoader", None):
+        assert str(expected) == str(base)
 
 
-@pytest.mark.parametrize("loader", ALL, ids=lambda l: l.__name__)
-def test_empty_stream_and_self_alias(loader):
-    """An empty stream composes to None; an alias to a collection still open
-    brings back the collection itself."""
-    assert yaml.compose("", Loader=loader) is None
-    assert yaml.compose("# a comment\n", Loader=loader) is None
-    root = yaml.compose("&a [*a, x]\n", Loader=loader)
-    assert root.value[0] is root
-    assert node_tags("&a [*a, x]\n", loader) == [
-        ("SequenceNode", "tag:yaml.org,2002:seq", None, 0, 0), ("alias", 0),
-        ("ScalarNode", "tag:yaml.org,2002:str", "x", 0, 8)]
+@pytest.mark.parametrize("loader", BY_BACKEND)
+def test_empty_stream_and_self_alias(monkeypatch, loader):
+    """An empty stream is an empty document; a collection that holds an
+    alias to itself reads as the reference reads it."""
+    read_with(monkeypatch, loader)
+    for text in ("", "# a comment\n"):
+        assert [(d.code, d.message) for d in parse_model([("empty.sac.yaml", text)])[1]] == [
+            ("syntax", "document is empty"),
+            ("model-header", "no model header found in any document")]
+    for text in ("&a [*a, x]\n", "model: {id: m}\nmodules: &a [*a]\n",
+                 "model: {id: m}\nmodules: [&a {id: m1, elements: *a}]\n"):
+        assert_reads_as_reference([("self.sac.yaml", text)], text)
+
+
+@pytest.mark.parametrize("loader", BY_BACKEND)
+def test_reader_error_is_placed_where_it_occurred(monkeypatch, loader):
+    """libyaml counts a reader error's position in UTF-8 bytes, PyYAML in
+    characters; the 'é' before the NUL tells the two apart."""
+    read_with(monkeypatch, loader)
+    line, column, message = syntax_diagnostic("model: {id: m}\n# é\nmodules: [\x00]\n")
+    assert (line, column) == (3, 11)
+    assert "#x0000" in message
 
 
 def crossing_mark(shape: str, loader):
@@ -199,21 +222,25 @@ def crossing_mark(shape: str, loader):
     return node.start_mark
 
 
-@pytest.mark.parametrize("lean,base", BY_LEAN)
+@pytest.mark.parametrize("loader", BY_BACKEND)
 @pytest.mark.parametrize("shape", NEST_SHAPES)
-def test_lean_loaders_stop_at_the_depth_limit(lean, base, shape):
-    """At the collection that holds the node past the limit, where the base
-    composer, which has no limit, starts that collection."""
-    assert node_tags(nest(shape, parser.MAX_DEPTH), lean) == \
-        node_tags(nest(shape, parser.MAX_DEPTH), base)
-    mark = crossing_mark(shape, base)
+def test_lean_loaders_stop_at_the_depth_limit(monkeypatch, loader, shape):
+    """A nest at the limit reads alike on both backends; one level deeper, or
+    far deeper, it is refused at the collection that holds the node past the
+    limit, where the base composer, which has no limit, starts that collection."""
+    read_with(monkeypatch, loader)
+    model, diags = parse_model([("deep.sac.yaml", nest(shape, parser.MAX_DEPTH))])
+    assert [(d.code, d.message) for d in diags] == [
+        ("bad-type", "document must be a mapping") if shape != "flow-mapping"
+        else ("unknown-key", "unknown key 'b' in document"),
+        ("model-header", "no model header found in any document")]
+    mark = crossing_mark(shape, loader)
     expected = yaml.composer.ComposerError(
         None, None, f"document nests deeper than {parser.MAX_DEPTH} levels", mark)
-    for depth in (parser.MAX_DEPTH + 1, 50_000):
-        got = composer_error(nest(shape, depth), lean)
-        assert marks(got) == [None, (mark.line, mark.column)]
-        if base is getattr(yaml, "CSafeLoader", None):
-            assert str(got) == str(expected)
+    assert syntax_diagnostic(nest(shape, parser.MAX_DEPTH + 1)) == (
+        mark.line + 1, mark.column + 1, f"malformed document: {expected}")
+    # The pure-Python mark quotes the text around it, so far deeper only the place is kept.
+    assert syntax_diagnostic(nest(shape, 50_000))[:2] == (mark.line + 1, mark.column + 1)
 
 
 def test_parse_model_reads_alike_on_the_pure_python_backend(monkeypatch):
@@ -227,7 +254,7 @@ def test_parse_model_reads_alike_on_the_pure_python_backend(monkeypatch):
                 for documents in cases for lenient in (False, True)]
 
     expected = outcomes()
-    monkeypatch.setattr(parser, "_Loader", LeanSafeLoader)
+    monkeypatch.setattr(parser, "_Loader", yaml.SafeLoader)
     assert outcomes() == expected
 
 
@@ -244,4 +271,5 @@ def test_parse_model_composes_each_document_once_with_the_lean_loader(monkeypatc
                  ("registries.sac.yaml", "registries: {hazards: [{id: H1}]}\n")]
     model, diags = parse_model(documents)
     assert model is not None, diags
-    assert calls == [((text,), {"Loader": parser._Loader}) for _, text in documents]
+    assert [args for args, _ in calls] == [(text,) for _, text in documents]
+    assert [kwargs["Loader"].__func__ for _, kwargs in calls] == [parser._DocParser.loader] * 2

@@ -579,49 +579,27 @@ def test_parse_time_grows_linearly():
     assert ratio <= 6, f"parse_model at 10k took {ratio:.2f}x its time at 2.5k"
 
 
-def traced_peak(call) -> int:
-    """Bytes that `call()` holds at its peak, its result included."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+#: The most that `parse_model` holds at its peak, in models of the size it
+#: returns: 1.22 was measured on one document and 1.11 on split documents.
+PEAK_MODELS = 1.5
 
 
-def test_parse_peak_memory_is_one_node_tree():
-    """`parse_model` frees each YAML node as its record is built, so its peak
-    is the node tree that compose builds, not the tree plus the model; and
-    of several documents, only one tree is alive at a time."""
+@pytest.mark.parametrize("split", [False, True], ids=["one-document", "split-documents"])
+def test_parse_peak_memory_is_at_most_k_models(split):
+    """The reader builds records straight from the loader's events, so the
+    peak of `parse_model` is the model it returns and little more."""
     model = big_model(4000, 2000)
-    whole = serialize_model(model)
-    split = [serialize_model(model, include_registries=False), serialize_registries(model)]
+    documents = ([("main.sac.yaml", serialize_model(model, include_registries=False)),
+                  ("registries.sac.yaml", serialize_registries(model))] if split
+                 else [("model.sac.yaml", serialize_model(model))])
     del model
-
-    def compose_peak(text):
-        return traced_peak(lambda: yaml.compose(text, Loader=parser._Loader))
-
-    one, tree = traced_peak(lambda: parse_model([("model.sac.yaml", whole)])), compose_peak(whole)
-    assert one <= 1.02 * tree, one / tree
-    two = traced_peak(lambda: parse_model([("main.sac.yaml", split[0]),
-                                           ("registries.sac.yaml", split[1])]))
-    largest = max(map(compose_peak, split))
-    assert two <= 1.02 * largest, two / largest
-
-
-def test_parse_peak_memory_is_at_most_four_models():
-    """The composed node tree costs memory in proportion to the model: the
-    peak of `parse_model` is at most four times the model it returns."""
-    text = serialize_model(big_model(4000, 2000))
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        model, diags = parse_model([("model.sac.yaml", text)])
+        model, diags = parse_model(documents)
         size, peak = (traced - before for traced in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert model is not None, diags
-    assert peak <= 4 * size, peak / size
+    assert peak <= PEAK_MODELS * size, peak / size

@@ -680,6 +680,33 @@ def test_aliased_collections_match_reference(data):
     assert (model is None) == any(d.severity is Severity.ERROR for d in diags)
 
 
+def aliased_cases(count: int, seed: int):
+    """Seeded fixtures with one to four collections shared: each is written
+    where it first occurs with an anchor, and as an alias after that.  The
+    first occurrence may be a new unknown key's value or a scalar's slot,
+    which is not read, so an alias to it later reads it."""
+    rng = random.Random(seed)
+    bases = loaded_fixtures()
+    for case in range(count):
+        name, loaded = rng.choice(bases)
+        docs = copy.deepcopy(loaded)
+        mutate(rng.choice(docs), rng)
+        slots = _slots(docs)  # taken before any edit: an edit may make the data cyclic
+        collections = [(c, k) for c, k in slots if isinstance(c[k], (dict, list))]
+        scalars = [(c, k) for c, k in slots if isinstance(c[k], str)]
+        for _ in range(rng.randint(1, 4)):
+            source, key = rng.choice(collections)
+            target, slot = rng.choice(slots)
+            where = rng.random()
+            if where < 0.3:
+                target, slot = rng.choice(docs), f"extra_{rng.randint(0, 9)}"
+            elif where < 0.5 and scalars:
+                target, slot = rng.choice(scalars)
+            if isinstance(target, dict) or isinstance(slot, int):
+                target[slot] = source[key]
+        yield f"{name}#{case}", dumped(docs)
+
+
 # -- text-level cases ------------------------------------------------
 
 HEADER = "model: {id: demo}\n"
