@@ -189,10 +189,29 @@ def test_lean_loaders_refuse_what_their_bases_refuse(monkeypatch, loader, text, 
         assert str(expected) == str(base)
 
 
-@pytest.mark.parametrize("loader", BY_BACKEND)
-def test_empty_stream_and_self_alias(monkeypatch, loader):
+#: The reader on each backend (the lean loader on `SafeLoader` keeps its old
+#: name), then each base composer that the reference parser reads with.
+READERS_AND_BASES = [
+    pytest.param(parser._Loader, True, id="_Loader"),
+    pytest.param(yaml.SafeLoader, True, id="LeanSafeLoader"),
+    *(pytest.param(loader, False, id=loader.__name__)
+      for loader in dict.fromkeys((parser._Loader, yaml.SafeLoader))),
+]
+
+
+@pytest.mark.parametrize("loader,reader", READERS_AND_BASES)
+def test_empty_stream_and_self_alias(monkeypatch, loader, reader):
     """An empty stream is an empty document; a collection that holds an
-    alias to itself reads as the reference reads it."""
+    alias to itself reads as the reference reads it.  The reference rests
+    on its base composer: an empty stream composes to None, and an alias to
+    a collection still open brings back the collection itself."""
+    if not reader:
+        assert yaml.compose("", Loader=loader) is None
+        assert yaml.compose("# a comment\n", Loader=loader) is None
+        root = yaml.compose("&a [*a, x]\n", Loader=loader)
+        assert root.value[0] is root
+        assert root.value[1].value == "x"
+        return
     read_with(monkeypatch, loader)
     for text in ("", "# a comment\n"):
         assert [(d.code, d.message) for d in parse_model([("empty.sac.yaml", text)])[1]] == [
