@@ -19,11 +19,9 @@ read; fields that read as ``None`` are left to the dataclass default.  A
 key repeated in one mapping is an Error `duplicate-key`, even when
 lenient, and its second value is not read, unless its `_Key` appends.
 
-An alias to a scalar reads as the scalar.  Each collection is read at most
-once: an alias to one already read, or still open, is an Error `alias` at
-the anchored collection.  An anchored collection that was skipped (a key,
-an unknown or repeated key's value, a value of the wrong type) keeps its
-events, and an alias to it reads them in full.
+Only scalars may be aliased: an alias to a scalar reads as the scalar, and
+an alias to a collection, read, open or skipped, is an Error `alias` at the
+anchored collection.  So a skipped value keeps none of its events.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from __future__ import annotations
 import enum
 import gc
 from dataclasses import dataclass, fields
-from itertools import islice
 from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import yaml
@@ -87,9 +84,6 @@ class _DocParser:
         self.header: Optional[dict] = None
         self.parts: list[dict] = []  # lists of modules, artifacts or registry items, by name
         self.anchors: dict = {}  # anchor -> its scalar or collection start event
-        self.read: set = set()  # anchors of the collections read or open
-        self.recorded: dict = {}  # anchor of a skipped collection -> its events after its start
-        self.replays: list = []  # the recorded events being read again, innermost last
         self.open: list = []  # the start marks of the loader's open collections
 
     def loader(self, stream: str) -> _DocParser:
@@ -131,14 +125,9 @@ class _DocParser:
     # -- events, diagnostics and values ---------------------------------
 
     def next(self):
-        """The next event, of the innermost replay or else of the loader, where an
-        undefined alias and a duplicate anchor are refused with libyaml's messages
-        and marks, and a node past `MAX_DEPTH` at the collection holding it."""
-        while self.replays:
-            event = next(self.replays[-1], None)
-            if event is not None:
-                return event
-            self.replays.pop()  # the replayed collection has ended
+        """The loader's next event, where an undefined alias and a duplicate
+        anchor are refused with libyaml's messages and marks, and a node past
+        `MAX_DEPTH` at the collection holding it."""
         event = self.pull()
         kind = type(event)
         if kind is _ALIAS:
@@ -172,19 +161,11 @@ class _DocParser:
         return self.anchors[event.anchor] if type(event) is _ALIAS else event
 
     def skip(self, event) -> None:
-        """Consume the events of a value that is not read, keeping those of
-        each anchored collection in it for an alias to read."""
-        # No events follow a scalar or an alias.
-        events, open_at = [event], [(0, event.anchor)] if type(event) in _NOUNS else []
-        while open_at:
-            event = self.next()
-            events.append(event)
-            if type(event) in _NOUNS:
-                open_at.append((len(events) - 1, event.anchor))
-            elif type(event) is _SEQUENCE_END or type(event) is _MAPPING_END:
-                start, anchor = open_at.pop()
-                if anchor is not None:
-                    self.recorded[anchor] = islice(events, start + 1, len(events))
+        """Consume the events of a value that is not read, keeping none."""
+        if type(event) in _NOUNS:  # no events follow a scalar or an alias
+            still_open, depth, next_event = self.open, len(self.open), self.next
+            while len(still_open) >= depth:
+                next_event()
 
     def error(self, event, code: str, message: str, severity=Severity.ERROR) -> None:
         loc = self.location(event)
@@ -202,18 +183,13 @@ class _DocParser:
 
     def take(self, event, kind, where: str) -> bool:
         """Whether `event` starts a `kind` collection to read, else `bad-type`, or
-        `alias` for one read before or still open; an alias to a skipped one replays it."""
-        start = self.start(event)
-        if type(start) is not kind:
+        `alias` for an alias to one."""
+        if type(self.start(event)) is not kind:
             self.error(event, "bad-type", f"{where} must be a {_NOUNS[kind]}")
-        elif start.anchor is None:
-            return True
-        elif start.anchor in self.read:
-            self.error(event, "alias", f"{where} is an alias to a collection read before")
+        elif type(event) is _ALIAS:
+            self.error(event, "alias",
+                       f"{where} is an alias to a collection; only scalars may be aliased")
         else:
-            self.read.add(start.anchor)
-            if start is not event:
-                self.replays.append(self.recorded.pop(start.anchor))
             return True
         self.skip(event)
         return False

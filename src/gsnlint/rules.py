@@ -474,10 +474,9 @@ def _rule_ev1(model: GsnModel) -> list[Finding]:
     for element in model.iter_elements():
         if element.kind is not ElementKind.SOLUTION:
             continue
-        evidence = [a for a in element.artifacts
-                    if model.artifact_index.get(a) is not None
-                    and model.artifact_index[a].role is ArtifactRole.EVIDENCE]
-        if not evidence:
+        # Every artifact is known here: an unknown one is a WF9 Error.
+        if not any(model.artifact_index[a].role is ArtifactRole.EVIDENCE
+                   for a in element.artifacts):
             findings.append(Finding(
                 "EV1", Severity.ERROR,
                 f"solution '{element.id}' references no evidence artifact",

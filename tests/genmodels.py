@@ -7,8 +7,9 @@ string_model puts one string into every kind of free text a model
 writes, for the YAML writer's tests; ill_formed_model builds small models
 that skip the structural guards, for the guards' own tests; alias_document
 writes a model text that names one ACP, element and module k times each
-through YAML aliases; nest writes a one-line document nested to a given
-depth.
+through YAML aliases; SKIPPED_ALIASES and SKIPPED_SECTION are model texts
+that anchor collections where they are skipped; nest writes a one-line
+document nested to a given depth.
 """
 
 from __future__ import annotations
@@ -253,6 +254,35 @@ def alias_document(k: int) -> str:
     elements = named("E", f"{{id: G, kind: goal, acp: [{acps}]}}")
     modules = named("M", f"{{id: m, elements: [{elements}]}}")
     return f"model: {{id: a}}\nmodules: [{modules}]\n"
+
+
+#: How a collection is skipped -> a model text that anchors one there and
+#: then aliases it where a collection is read, which is an Error `alias`.
+SKIPPED_ALIASES = {
+    "unknown key": "model: {id: d}\n"
+                   "x-templates: {goal: &G {id: G1, kind: goal, undeveloped: true}}\n"
+                   "modules:\n  - id: m\n    elements: [*G]\n",
+    "repeated key": "model: {id: d}\nmodules:\n  - id: m\n"
+                    "    id: &E [{id: G1, kind: goal, undeveloped: true}]\n"
+                    "    elements: *E\n",
+    "wrong type": "model: {id: d}\nmodules:\n  - id: m\n    elements:\n"
+                  "      - {id: G1, kind: goal, text: &S [G2], supported_by: *S}\n"
+                  "      - {id: G2, kind: goal, undeveloped: true}\n",
+    "mapping key": "model: {id: d}\n? &K [{id: m, elements: [{id: G1, kind: goal}]}]\n"
+                   ": x\nmodules: *K\n",
+}
+
+#: A model text whose unknown section nests anchored collections, aliased
+#: within the section, and an anchored scalar that an element reads.
+SKIPPED_SECTION = """\
+model: {id: d}
+x-notes:
+  - &A {k: [&B {v: 1}, *B], n: &N noted}
+  - [*A, &C [[&D {x: y}], *D, *C]]
+modules:
+  - id: m
+    elements: [{id: G1, kind: goal, undeveloped: true, text: *N}]
+"""
 
 
 #: The collection shapes `nest` writes.

@@ -38,9 +38,11 @@ stderr) and every file in the directory afterwards, by name and bytes.  A
 `parse` line hashes `parse_model`'s diagnostics (severity, code, message,
 file, line, column) and canonical dict, strict and lenient, on its error
 paths: the seeded mutation and alias corpora of `test_parser_table.py`,
-`genmodels.alias_document`, each `NEST_SHAPES` nest at `parser.MAX_DEPTH`
-and one level past it, and one text per composer refusal (an undefined
-alias, a duplicate anchor, a second document).  It
+`genmodels.alias_document`, `genmodels.SKIPPED_ALIASES` (one alias to a
+collection per way it is skipped), `genmodels.SKIPPED_SECTION` (a skipped
+section with nested anchors), each `NEST_SHAPES` nest at
+`parser.MAX_DEPTH` and one level past it, and one text per composer
+refusal (an undefined alias, a duplicate anchor, a second document).  It
 tests whichever `gsnlint` is importable; to compare two checkouts, run it
 once against each:
 
@@ -64,8 +66,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from click.testing import CliRunner
 
 from conftest import FIXTURES, bad_fixture_paths, good_fixture_groups
-from genmodels import (EDGE_STRINGS, FALLBACK_STRINGS, NEST_SHAPES, alias_document, big_model,
-                       ill_formed_model, nest, random_model, string_model)
+from genmodels import (EDGE_STRINGS, FALLBACK_STRINGS, NEST_SHAPES, SKIPPED_ALIASES,
+                       SKIPPED_SECTION, alias_document, big_model, ill_formed_model, nest,
+                       random_model, string_model)
 from mutations import MUTATIONS, mutate
 from test_parser_table import aliased_cases, mutated_cases
 from gsnlint import cli
@@ -252,6 +255,8 @@ def parse_digest() -> tuple[str, int]:
     cases = [documents for seed in range(4) for _, documents in mutated_cases(250, seed)]
     cases += [documents for _, documents in aliased_cases(200, 0)]
     cases += [[("alias.sac.yaml", alias_document(k))] for k in (2, 5)]
+    cases += [[("skipped.sac.yaml", text)] for text in (*SKIPPED_ALIASES.values(),
+                                                        SKIPPED_SECTION)]
     cases += [[("nest.sac.yaml", nest(shape, depth))]
               for shape in NEST_SHAPES for depth in (MAX_DEPTH, MAX_DEPTH + 1)]
     cases += [[("refused.sac.yaml", text)] for text in COMPOSER_REFUSALS]

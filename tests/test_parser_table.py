@@ -15,9 +15,10 @@ appends (module `elements`, the registry lists, `context_dimensions`);
 the first value stands.  An artifact id, or an item id within one
 registry, that an earlier entry of any document had is an Error
 `duplicate-id` at the repeated entry, reported with the structural problems
-after the repeated element ids.  Each YAML collection is read at most
-once: one that an alias brings back is an Error `alias` at the collection,
-which the reference finds with a set of the collections it has read.
+after the repeated element ids.  Only scalars may be aliased: an alias to
+a collection is an Error `alias` at the collection where a value is read,
+and nothing where it is skipped.  The reference finds one with the set of
+collections its walk has passed, read or skipped.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ _ELEMENT_KEYS = {"id", "kind", "text", "undeveloped", "argument_type", "roles",
 _HEADER_KEYS = {"id", "version", "fragmentary"}
 _REGISTRY_NAMES = ("hazards", "regulatory_requirements", "normative_requirements",
                    "risk_acceptance_criteria")
+_BOOLEANS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
 
 class ReferenceDocParser:
@@ -84,7 +86,7 @@ class ReferenceDocParser:
         self.diags = diags
         self.seen_ids = seen_ids
         self.repeated_ids = repeated_ids
-        self.visited: set[int] = set()  # ids of the collections read; the tree outlives the walk
+        self.visited: set[int] = set()  # ids of the collections passed; the tree outlives the walk
 
     # -- diagnostics --------------------------------------------------
 
@@ -100,17 +102,19 @@ class ReferenceDocParser:
         line, col = self._loc(node)
         self.diags.append(ParseDiagnostic(Severity.WARNING, code, message, self.path, line, col))
 
-    def unknown_key(self, key_node, key: str, where: str) -> None:
+    def unknown_key(self, key_node, key: str, where: str, value) -> None:
         message = f"unknown key '{key}' in {where}"
         if self.lenient:
             self.warning(key_node, "unknown-key", message)
         else:
             self.error(key_node, "unknown-key", message)
+        self.skip(value)
 
-    def repeated(self, key_node, key: str, seen: set, where: str) -> bool:
-        """Report `key` when this mapping already had it."""
+    def repeated(self, key_node, key: str, seen: set, where: str, value) -> bool:
+        """Report `key`, and skip its value, when this mapping already had it."""
         if key in seen:
             self.error(key_node, "duplicate-key", f"duplicate key '{key}' in {where}")
+            self.skip(value)
             return True
         seen.add(key)
         return False
@@ -132,10 +136,22 @@ class ReferenceDocParser:
 
     # -- node coercion ------------------------------------------------
 
-    def read_before(self, node, where: str) -> bool:
-        """Report a collection that an alias brings back a second time."""
+    def skip(self, node) -> None:
+        """Mark every collection of a value that is not read as passed."""
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, yaml.ScalarNode) or id(node) in self.visited:
+                continue
+            self.visited.add(id(node))
+            stack += (node.value if isinstance(node, yaml.SequenceNode)
+                      else [part for pair in node.value for part in pair])
+
+    def aliased(self, node, where: str) -> bool:
+        """Report a collection that the walk passed before: only scalars may be aliased."""
         if id(node) in self.visited:
-            self.error(node, "alias", f"{where} is an alias to a collection read before")
+            self.error(node, "alias",
+                       f"{where} is an alias to a collection; only scalars may be aliased")
             return True
         self.visited.add(id(node))
         return False
@@ -143,30 +159,39 @@ class ReferenceDocParser:
     def mapping(self, node, where: str) -> Optional[list]:
         if not isinstance(node, yaml.MappingNode):
             self.error(node, "bad-type", f"{where} must be a mapping")
+            self.skip(node)
             return None
-        if self.read_before(node, where):
+        if self.aliased(node, where):
             return None
+        for key, _ in node.value:
+            self.skip(key)  # a key is not read
         return [(key.value if isinstance(key, yaml.ScalarNode) else "<non-scalar>", key, value)
                 for key, value in node.value]
 
     def sequence(self, node, where: str) -> Optional[list]:
         if not isinstance(node, yaml.SequenceNode):
             self.error(node, "bad-type", f"{where} must be a sequence")
+            self.skip(node)
             return None
-        if self.read_before(node, where):
+        if self.aliased(node, where):
             return None
         return list(node.value)
 
     def string(self, node, where: str) -> Optional[str]:
         if not isinstance(node, yaml.ScalarNode) or node.tag.endswith((":map", ":seq")):
             self.error(node, "bad-type", f"{where} must be a scalar")
+            self.skip(node)
             return None
         return node.value
 
     def boolean(self, node, where: str) -> Optional[bool]:
+        """A `bool`-tagged scalar that YAML 1.1 spells as true or false, in any case."""
         if isinstance(node, yaml.ScalarNode) and node.tag == "tag:yaml.org,2002:bool":
-            return node.value.lower() in ("true", "yes", "on")
+            value = _BOOLEANS.get(node.value.lower())
+            if value is not None:
+                return value
         self.error(node, "bad-type", f"{where} must be a boolean")
+        self.skip(node)
         return None
 
     def enum(self, node, enum_cls, where: str):
@@ -199,7 +224,7 @@ class ReferenceDocParser:
         fields: dict = {"location": self.location(node)}
         seen: set = set()
         for key, key_node, value in items:
-            if key in _ELEMENT_KEYS and self.repeated(key_node, key, seen, "element entry"):
+            if key in _ELEMENT_KEYS and self.repeated(key_node, key, seen, "element entry", value):
                 continue
             if key == "id":
                 fields["id"] = self.string(value, "element id")
@@ -229,7 +254,7 @@ class ReferenceDocParser:
             elif key == "acp":
                 fields["acps"] = tuple(self.acp_list(value))
             else:
-                self.unknown_key(key_node, key, "element entry")
+                self.unknown_key(key_node, key, "element entry", value)
         if fields.get("id") is None or fields.get("kind") is None:
             if "id" not in fields or "kind" not in fields:
                 self.error(node, "missing-key", "element entry requires 'id' and 'kind'")
@@ -245,7 +270,7 @@ class ReferenceDocParser:
             fields: dict = {}
             seen: set = set()
             for key, key_node, value in items:
-                if key in _ACP_KEYS and self.repeated(key_node, key, seen, "acp entry"):
+                if key in _ACP_KEYS and self.repeated(key_node, key, seen, "acp entry", value):
                     continue
                 if key == "target":
                     fields["target"] = self.string(value, "acp target")
@@ -254,7 +279,7 @@ class ReferenceDocParser:
                 elif key == "confidence_goal":
                     fields["confidence_goal"] = self.string(value, "acp confidence_goal")
                 else:
-                    self.unknown_key(key_node, key, "acp entry")
+                    self.unknown_key(key_node, key, "acp entry", value)
             if None in fields.values() or set(fields) != _ACP_KEYS:
                 if set(fields) != _ACP_KEYS:
                     self.error(entry, "missing-key",
@@ -272,7 +297,7 @@ class ReferenceDocParser:
         seen: set = set()
         for key, key_node, value in items:
             if key == "id":
-                if self.repeated(key_node, key, seen, "module entry"):
+                if self.repeated(key_node, key, seen, "module entry", value):
                     continue
                 module_id = self.string(value, "module id")
             elif key == "elements":
@@ -281,7 +306,7 @@ class ReferenceDocParser:
                     if element is not None:
                         elements.append(element)
             else:
-                self.unknown_key(key_node, key, "module entry")
+                self.unknown_key(key_node, key, "module entry", value)
         if module_id is None:
             if not any(key == "id" for key, _, _ in items):
                 self.error(node, "missing-key", "module entry requires 'id'")
@@ -296,9 +321,9 @@ class ReferenceDocParser:
         seen: set = set()
         for key, key_node, value in items:
             if key not in spec:
-                self.unknown_key(key_node, key, "registry item")
+                self.unknown_key(key_node, key, "registry item", value)
                 continue
-            if self.repeated(key_node, key, seen, "registry item"):
+            if self.repeated(key_node, key, seen, "registry item", value):
                 continue
             kind = spec[key]
             fields[key] = (self.enum(value, kind, key) if isinstance(kind, type) and
@@ -350,7 +375,7 @@ class ReferenceDocParser:
                     dims_declared[0] = True
                 registries.context_dimensions.extend(self.string_list(value, key))
             else:
-                self.unknown_key(key_node, key, "registries")
+                self.unknown_key(key_node, key, "registries", value)
 
     def artifact(self, node) -> Optional[Artifact]:
         items = self.mapping(node, "artifact entry")
@@ -359,14 +384,15 @@ class ReferenceDocParser:
         fields: dict = {}
         seen: set = set()
         for key, key_node, value in items:
-            if key in _ARTIFACT_KEYS and self.repeated(key_node, key, seen, "artifact entry"):
+            if key in _ARTIFACT_KEYS and self.repeated(key_node, key, seen, "artifact entry",
+                                                       value):
                 continue
             if key == "role":
                 fields["role"] = self.enum(value, ArtifactRole, "artifact role")
             elif key in _ARTIFACT_KEYS:
                 fields[key] = self.string(value, f"artifact {key}")
             else:
-                self.unknown_key(key_node, key, "artifact entry")
+                self.unknown_key(key_node, key, "artifact entry", value)
         if fields.get("id") is None or fields.get("role") is None:
             if "id" not in fields or "role" not in fields:
                 self.error(node, "missing-key", "artifact entry requires 'id' and 'role'")
@@ -429,6 +455,7 @@ def reference_parse_model(
                     if header_declared:
                         parser.error(key_node, "model-header",
                                      "model header declared more than once")
+                        parser.skip(value)
                         continue
                     header_declared = True
                 model_items = parser.mapping(value, "model header")
@@ -438,7 +465,7 @@ def reference_parse_model(
                 seen: set = set()
                 for hkey, hkey_node, hvalue in model_items:
                     if hkey in _HEADER_KEYS and parser.repeated(hkey_node, hkey, seen,
-                                                                "model header"):
+                                                                "model header", hvalue):
                         continue
                     if hkey == "id":
                         header["id"] = parser.string(hvalue, "model id")
@@ -447,7 +474,7 @@ def reference_parse_model(
                     elif hkey == "fragmentary":
                         header["fragmentary"] = bool(parser.boolean(hvalue, "fragmentary"))
                     else:
-                        parser.unknown_key(hkey_node, hkey, "model header")
+                        parser.unknown_key(hkey_node, hkey, "model header", hvalue)
                 if not any(hkey == "id" for hkey, _, _ in model_items):
                     parser.error(value, "missing-key", "model header requires 'id'")
             elif key == "modules":
@@ -469,7 +496,7 @@ def reference_parse_model(
                     if artifact is not None:
                         artifacts.append(artifact)
             else:
-                parser.unknown_key(key_node, key, "document")
+                parser.unknown_key(key_node, key, "document", value)
 
     if header is None or header["id"] is None:
         diags.append(ParseDiagnostic(
@@ -665,7 +692,8 @@ def test_seeded_mutations_match_reference(seed):
 def test_aliased_collections_match_reference(data):
     """Anchors and aliases at random collection positions of a fixture, some
     of them making a collection contain itself: both parsers return the same
-    diagnostics and neither raises."""
+    diagnostics, an `alias` for each alias to a collection that is read,
+    and neither raises."""
     name, loaded = data.draw(st.sampled_from(loaded_fixtures()))
     docs = copy.deepcopy(loaded)
     slots = _slots(docs)  # taken before any edit: an edit may make the data cyclic
@@ -684,7 +712,8 @@ def aliased_cases(count: int, seed: int):
     """Seeded fixtures with one to four collections shared: each is written
     where it first occurs with an anchor, and as an alias after that.  The
     first occurrence may be a new unknown key's value or a scalar's slot,
-    which is not read, so an alias to it later reads it."""
+    which is skipped; an alias to it where a collection is read is still an
+    Error `alias`."""
     rng = random.Random(seed)
     bases = loaded_fixtures()
     for case in range(count):
