@@ -440,35 +440,6 @@ class GsnModel:
         return eff
 
     @cached_property
-    def argument_scopes(self) -> dict[str, frozenset[ArgumentType]]:
-        """Per element, the argument types whose members reach it: its own
-        `effective_types` plus the scopes of its supported_by parents (of its
-        referencers, for a contextual element); sets are shared as there.
-
-        On a well-formed model ``t in argument_scopes[e]`` holds exactly when
-        ``e in reachable_from(argument_subset(t))``, without a walk.
-        """
-        eff = self.effective_types
-        scopes: dict[str, frozenset[ArgumentType]] = {}
-
-        def widen(eid: str, ids: list[str]) -> frozenset[ArgumentType]:
-            types = eff[eid]
-            for i in ids:
-                outer = scopes.get(i, _UNTYPED)
-                if types <= outer:
-                    types = outer
-                elif not outer <= types:
-                    types = types | outer
-            return types
-
-        for eid in self.topo_order:
-            scopes[eid] = widen(eid, self.support_parents[eid])
-        for eid, element in self.index.items():
-            if element.kind in CONTEXTUAL_KINDS:
-                scopes[eid] = widen(eid, self.context_referencers[eid])
-        return scopes
-
-    @cached_property
     def argument_subsets(self) -> dict[ArgumentType, frozenset[str]]:
         """Argument type -> ids of its member elements, in one pass."""
         members: dict[ArgumentType, list[str]] = {t: [] for t in ArgumentType}

@@ -69,6 +69,10 @@ _DUMP_OPTIONS = dict(sort_keys=False, default_flow_style=False, allow_unicode=Tr
 
 # An explicit `!!bool` tag skips the resolver, so its value is checked here.
 _BOOL_VALUES = yaml.constructor.SafeConstructor.bool_values
+#: A scalar reads only untagged, as the non-specific `!`, or with a tag
+#: `yaml.SafeLoader` constructs as a scalar; the same text reads alike on both backends.
+_SCALAR_TAGS = frozenset({None, "!", *(f"tag:yaml.org,2002:{name}" for name in (
+    "str", "int", "float", "bool", "null", "timestamp", "binary"))})
 
 
 class _DocParser:
@@ -195,9 +199,10 @@ class _DocParser:
         return False
 
     def string(self, event, where: str) -> Optional[str]:
-        if type(event) is _SCALAR and not (event.tag or "").endswith((":map", ":seq")):
+        if type(event) is _SCALAR and event.tag in _SCALAR_TAGS:
             return event.value
-        self.error(event, "bad-type", f"{where} must be a scalar")
+        tagged = f", not tagged '{event.tag}'" if type(event) is _SCALAR else ""
+        self.error(event, "bad-type", f"{where} must be a scalar{tagged}")
         self.skip(event)
         return None
 

@@ -232,12 +232,20 @@ def _missing_roles(model: GsnModel, rule: str, argument_type: ArgumentType,
 def _outside_scope(model: GsnModel, rule: str, severity: Severity, outer: ArgumentType,
                    inner: tuple[ArgumentType, ...], message: str) -> list[Finding]:
     """One finding per inner argument with members outside `outer`'s scope,
-    listing those members sorted; `message` follows "<inner> argument"."""
-    scopes = model.argument_scopes
+    listing those members sorted; `message` follows "<inner> argument".
+
+    The scope is `outer`'s members, everything they support and the contexts
+    of all of those: on a well-formed model, where `topo_order` puts parents
+    first, `reachable_from(argument_subset(outer))` in one pass."""
+    members, parents, index = model.argument_subset(outer), model.support_parents, model.index
+    scope: set[str] = set()
+    for eid in model.topo_order:
+        if eid in members or not scope.isdisjoint(parents[eid]):
+            scope.add(eid)
+    scope.update([c for eid in scope for c in index[eid].in_context_of])
     findings = []
     for argument_type in inner:
-        stray = sorted(e for e in model.argument_subset(argument_type)
-                       if outer not in scopes[e])
+        stray = sorted(model.argument_subset(argument_type) - scope)
         if stray:
             findings.append(Finding(rule, severity, f"{argument_type.value} argument {message}",
                                     tuple(stray)))

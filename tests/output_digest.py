@@ -10,10 +10,10 @@ exit code, stdout, stderr).  Inputs are copied into a temporary directory
 and named by relative paths, so the digest does not depend on where the
 checkout lives.  A `views` line hashes the library's graph views (argument
 types and subsets, solution backing, root goals, `reachable_from` of each
-argument subset, `descendants` of each element, `argument_scopes`,
-`role_members` and `item_tracers`) on every good fixture and the same
-random models; all of them are acyclic, so each view has one right answer,
-and ids are sorted so the digest does not depend on traversal order.  A
+argument subset, `descendants` of each element, `role_members` and
+`item_tracers`) on every good fixture and the same random models; all of
+them are acyclic, so each view has one right answer, and ids are sorted so
+the digest does not depend on traversal order.  A
 `serialize` line hashes the YAML writer's three outputs (`serialize_model`
 with and without registries, `serialize_registries`) on every good fixture,
 the same random models, `big_model(2000, 1000)`, scaffold models with and
@@ -168,8 +168,6 @@ def views_digest() -> tuple[str, int]:
             "reachable_from": {t.value: sorted(model.reachable_from(ids))
                                for t, ids in subsets.items()},
             "descendants": {eid: sorted(model.descendants(eid)) for eid in model.index},
-            "argument_scopes": {eid: sorted(t.value for t in types)
-                                for eid, types in model.argument_scopes.items()},
             "role_members": {role.value: sorted(ids)
                              for role, ids in model.role_members.items()},
             "item_tracers": {item: sorted(ids) for item, ids in model.item_tracers.items()},

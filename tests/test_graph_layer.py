@@ -5,11 +5,11 @@ search.  Its walk from every element runs once per model and is cached:
 its cycles feed WF1 and the parser's `cycle` diagnostics, and its
 post-order gives `GsnModel.topo_order`.  `GsnModel.reachable_from` (R1
 when the root is not itself in the risk argument, and `descendants`) is a
-walk's closure plus contexts.  R5 and ST1 read containment from
-`GsnModel.argument_scopes`, which on well-formed models equals the
-closure of each argument subset.  The references below are the recursive
-cycle finder and the per-start reachability it replaced; networkx is an
-independent oracle used here only, never at run time.
+walk's closure plus contexts.  R5 and ST1 each derive their outer
+argument's scope in one pass over `topo_order`, which on well-formed
+models equals `reachable_from` of its members.  The references below are
+the recursive cycle finder and the per-start reachability it replaced;
+networkx is an independent oracle used here only, never at run time.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from gsnlint.model import (
     link_model,
 )
 from gsnlint.parser import load_model, parse_model
-from gsnlint.rules import evaluate, make_profile
+from gsnlint.rules import _rule_r5, _rule_st1, evaluate, make_profile
 from gsnlint.wellformed import _GUARD_RULES, LEGAL_SUPPORT_TARGETS, check_wellformed
 
 from conftest import FIXTURES, diagnostics_envelope, good_fixture_groups
@@ -278,9 +278,9 @@ class TestStructuralGuards:
 
 class TestOneWalkPerModel:
     """The guards and `topo_order` share the model's one cached walk, and R5
-    and ST1 read `argument_scopes`; only R1 walks again, from the root, and
-    only when the root is not itself in the risk argument (so in this
-    fixture, whose root goal is untyped)."""
+    and ST1 make one pass over `topo_order`; only R1 walks again, from the
+    root, and only when the root is not itself in the risk argument (so in
+    this fixture, whose root goal is untyped)."""
 
     @staticmethod
     def count_walks(monkeypatch) -> list[None]:
@@ -370,7 +370,13 @@ class TestReachability:
 
 
 class TestArgumentScopes:
-    """`argument_scopes` and `role_members` are exact on well-formed models."""
+    """R5's and ST1's stray members, and `role_members`, are exact on
+    well-formed models."""
+
+    #: (rule, outer argument, inner arguments) of each containment rule.
+    CONTAINMENT = ((_rule_r5, ArgumentType.RISK, (ArgumentType.PRODUCT, ArgumentType.PROCESS)),
+                   (_rule_st1, ArgumentType.PROCESS,
+                    (ArgumentType.CONFORMANCE, ArgumentType.COMPLIANCE)))
 
     @staticmethod
     def models() -> list[tuple[str, GsnModel]]:
@@ -381,14 +387,20 @@ class TestArgumentScopes:
         return [*wellformed_models(), ("big_model(2000, 1000)", big_model(2000, 1000)),
                 *generated]
 
-    def test_scopes_are_the_closure_of_each_argument(self):
+    def test_strays_lie_outside_the_closure_of_the_outer_argument(self):
+        """Each inner argument's members that `reachable_from` the outer
+        argument's members misses, sorted; R5 judges none without a risk
+        argument."""
         for name, model in self.models():
-            scopes = model.argument_scopes
-            assert scopes.keys() == model.index.keys(), name
-            for argument_type in ArgumentType:
-                in_scope = {eid for eid, types in scopes.items() if argument_type in types}
-                assert in_scope == model.reachable_from(
-                    model.argument_subset(argument_type)), (name, argument_type)
+            for rule, outer, inner in self.CONTAINMENT:
+                members = model.argument_subset(outer)
+                scope = model.reachable_from(members)
+                expected = [(t.value, stray) for t in inner
+                            if (stray := tuple(sorted(model.argument_subset(t) - scope)))]
+                if rule is _rule_r5 and not members:
+                    expected = []
+                found = [(f.message.split()[0], f.elements) for f in rule(model) if f.elements]
+                assert found == expected, (name, rule.__name__)
 
     def test_role_members_filter_the_index(self):
         for name, model in self.models():

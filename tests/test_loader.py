@@ -9,14 +9,15 @@ missing.  Each backend is tested through `parse_model` itself, with
 seeded mutation corpus and a seeded corpus of anchored and aliased
 collections give the reference parser's diagnostics, canonical dict and
 locations, and so do scalars that YAML 1.1 resolves to other tags.  A
-document that YAML refuses gives one `syntax` diagnostic and nothing else,
-whatever was read before the refusal: libyaml's messages at the marks the
-base composer uses for an undefined alias, a duplicate anchor and a second
-document; the start of the collection at depth `parser.MAX_DEPTH` for a
-deeper node; and the offending character for a reader error.  The last
-test pins how `parse_model` calls `yaml.compose`: through the module
-attribute, once per document, which the benchmark's `parser.compose_s` span
-relies on.
+scalar tag that `yaml.SafeLoader` does not construct is refused on both
+backends.  A document that YAML refuses gives one `syntax` diagnostic and
+nothing else, whatever was read before the refusal: libyaml's messages at
+the marks the base composer uses for an undefined alias, a duplicate anchor
+and a second document; the start of the collection at depth
+`parser.MAX_DEPTH` for a deeper node; and the offending character for a
+reader error.  The last test pins how `parse_model` calls `yaml.compose`:
+through the module attribute, once per document, which the benchmark's
+`parser.compose_s` span relies on.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _styled(value: str, style: str) -> str:
 
 @settings(max_examples=200, deadline=None)
 @given(value=_SCALARS, style=st.sampled_from(["plain", "single", "double", "!"]),
-       tag=st.sampled_from(["", "!!str ", "!!bool ", "!!map ", "!!seq "]))
+       tag=st.sampled_from(["", "!!str ", "!!bool ", "!!map ", "!!seq ", "!!set ", "!foo "]))
 @example(value="0,!", style="plain", tag="")
 @example(value="yes", style="plain", tag="!!str ")
 @example(value="goal", style="plain", tag="!!bool ")
@@ -233,6 +234,34 @@ def test_reader_error_is_placed_where_it_occurred(monkeypatch, loader):
     line, column, message = syntax_diagnostic("model: {id: m}\n# é\nmodules: [\x00]\n")
     assert (line, column) == (3, 11)
     assert "#x0000" in message
+
+
+#: `[G2,!, G3]` reads as three entries, the middle one an empty scalar tagged
+#: `!`, on libyaml, and as two, `G3` tagged `!,`, on PyYAML's own scanner.
+_ODD_TAG = ("model: {id: m}\nmodules:\n  - id: m1\n    elements:\n"
+            "      - {id: G1, kind: goal, supported_by: [G2,!, G3]}\n"
+            "      - {id: G2, kind: goal}\n      - {id: G3, kind: goal}\n")
+
+
+@pytest.mark.parametrize("loader", BY_BACKEND)
+def test_tags_safe_loader_does_not_construct_are_refused(monkeypatch, loader):
+    """A scalar tagged other than `!` or a tag `yaml.SafeLoader` constructs as
+    a scalar is `bad-type`, and the message names the tag.  So `[G2,!, G3]`
+    is refused on both backends, each for what its scanner read."""
+    read_with(monkeypatch, loader)
+    libyaml = loader is getattr(yaml, "CSafeLoader", None)
+    expected = {
+        _ODD_TAG: [("unresolved-ref", "element 'G1' references unknown element ''")]
+        if libyaml else [("bad-type", "entry of supported_by must be a scalar, not tagged '!,'")],
+        "model: {id: !foo m}\n": [
+            ("bad-type", "model id must be a scalar, not tagged '!foo'"),
+            ("model-header", "no model header found in any document")],
+    }
+    for text, codes in expected.items():
+        model, diags = parse_model([("case.sac.yaml", text)])
+        assert model is None
+        assert [(d.code, d.message) for d in diags] == codes
+        assert_reads_as_reference([("case.sac.yaml", text)], text)
 
 
 def crossing_mark(shape: str, loader):

@@ -18,7 +18,10 @@ registry, that an earlier entry of any document had is an Error
 after the repeated element ids.  Only scalars may be aliased: an alias to
 a collection is an Error `alias` at the collection where a value is read,
 and nothing where it is skipped.  The reference finds one with the set of
-collections its walk has passed, read or skipped.
+collections its walk has passed, read or skipped.  A scalar is read only
+untagged, as the non-specific `!` or with a tag that `yaml.SafeLoader`
+constructs as a scalar (`str`, `int`, `float`, `bool`, `null`, `timestamp`,
+`binary`); any other tag is an Error `bad-type` that names it.
 """
 
 from __future__ import annotations
@@ -74,6 +77,14 @@ _HEADER_KEYS = {"id", "version", "fragmentary"}
 _REGISTRY_NAMES = ("hazards", "regulatory_requirements", "normative_requirements",
                    "risk_acceptance_criteria")
 _BOOLEANS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
+#: The tags of the scalars `yaml.SafeLoader` constructs.  The composer also
+#: resolves a plain or `!`-tagged `<<` and `=` to `merge` and `value`, where
+#: the parser sees no tag, so those read as their text.  A node cannot show
+#: an explicit `!!merge <<` or `!!value =`, which the parser refuses; here
+#: they read as text too.
+_SCALAR_TAGS = {f"tag:yaml.org,2002:{name}"
+                for name in ("str", "int", "float", "bool", "null", "timestamp", "binary")}
+_SPELLED = {"tag:yaml.org,2002:merge": "<<", "tag:yaml.org,2002:value": "="}
 
 
 class ReferenceDocParser:
@@ -178,9 +189,12 @@ class ReferenceDocParser:
         return list(node.value)
 
     def string(self, node, where: str) -> Optional[str]:
-        if not isinstance(node, yaml.ScalarNode) or node.tag.endswith((":map", ":seq")):
+        if not isinstance(node, yaml.ScalarNode):
             self.error(node, "bad-type", f"{where} must be a scalar")
             self.skip(node)
+            return None
+        if node.tag not in _SCALAR_TAGS and _SPELLED.get(node.tag) != node.value:
+            self.error(node, "bad-type", f"{where} must be a scalar, not tagged '{node.tag}'")
             return None
         return node.value
 
