@@ -21,10 +21,8 @@ from .model import (
 from .parser import load_model, parse_model, serialize_model
 from .rules import (
     CATALOG,
-    PreconditionError,
     RuleProfile,
     catalog_as_json,
-    check_requirements,
     evaluate,
     make_profile,
 )

@@ -73,6 +73,10 @@ _BOOL_VALUES = yaml.constructor.SafeConstructor.bool_values
 #: `yaml.SafeLoader` constructs as a scalar; the same text reads alike on both backends.
 _SCALAR_TAGS = frozenset({None, "!", *(f"tag:yaml.org,2002:{name}" for name in (
     "str", "int", "float", "bool", "null", "timestamp", "binary"))})
+#: A scalar the safe loaders construct as null reads as "", as an empty one does:
+#: one tagged `!!null`, or an implicit one (plain, or tagged `!`) with one of these values.
+_NULL_TAG = "tag:yaml.org,2002:null"
+_NULL_VALUES = frozenset({"~", "null", "Null", "NULL"})
 
 
 class _DocParser:
@@ -199,8 +203,12 @@ class _DocParser:
         return False
 
     def string(self, event, where: str) -> Optional[str]:
-        if type(event) is _SCALAR and event.tag in _SCALAR_TAGS:
-            return event.value
+        if type(event) is _SCALAR and (tag := event.tag) in _SCALAR_TAGS:
+            value = event.value
+            if (value in _NULL_VALUES and tag in (None, "!") and event.implicit[0]
+                    or tag is not None and tag == _NULL_TAG):
+                return ""
+            return value
         tagged = f", not tagged '{event.tag}'" if type(event) is _SCALAR else ""
         self.error(event, "bad-type", f"{where} must be a scalar{tagged}")
         self.skip(event)

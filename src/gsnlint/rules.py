@@ -188,16 +188,6 @@ PROFILE_RULES = {
 }
 
 
-class PreconditionError(Exception):
-    """Requirement checking refused because the model is not well-formed."""
-
-    def __init__(self, wf_findings: list[Finding]):
-        self.wf_findings = wf_findings
-        errors = [f for f in wf_findings if f.severity is Severity.ERROR]
-        super().__init__(
-            f"model has {len(errors)} well-formedness error(s); fix those first")
-
-
 def make_profile(name: str, severity_overrides: Optional[dict[str, Severity]] = None
                  ) -> RuleProfile:
     if name not in PROFILE_RULES:
@@ -500,35 +490,11 @@ _RULE_FUNCTIONS: dict[str, Callable[[GsnModel], list[Finding]]] = {
 }
 
 
-def _requirement_findings(model: GsnModel, profile: RuleProfile) -> list[Finding]:
-    """The one rule loop: the findings of the profile's requirement rules."""
-    return [finding for rule, fn in _RULE_FUNCTIONS.items()
-            if rule in profile.enabled_rules for finding in fn(model)]
-
-
-def _finish(findings: list[Finding], profile: RuleProfile) -> list[Finding]:
-    """Apply the profile's severity overrides, then sort."""
-    overrides = profile.severity_overrides
-    return sort_findings([replace(f, severity=s) if (s := overrides.get(f.rule)) else f
-                          for f in findings])
-
-
-def check_requirements(model: GsnModel, profile: RuleProfile) -> list[Finding]:
-    """Evaluate the profile's requirement rules on a well-formed model.
-
-    Raises PreconditionError when the model has well-formedness errors.
-    """
-    wf = check_wellformed(model)
-    if any(f.severity is Severity.ERROR for f in wf):
-        raise PreconditionError(wf)
-    return _finish(_requirement_findings(model, profile), profile)
-
-
 def evaluate(model: GsnModel, profile: RuleProfile) -> list[Finding]:
     """Full check: well-formedness first, requirement rules when WF is clean.
 
-    Unlike check_requirements this never raises on an ill-formed model; the
-    well-formedness findings are the result in that case.
+    The one way to run the rules; it never raises on a parsed model, and on
+    an ill-formed one the well-formedness findings are the result.
     """
     wf = check_wellformed(model)
     # Requirement rules are meaningless on an ill-formed model; surface
@@ -536,5 +502,8 @@ def evaluate(model: GsnModel, profile: RuleProfile) -> list[Finding]:
     findings = [f for f in wf
                 if f.rule in profile.enabled_rules or f.severity is Severity.ERROR]
     if not any(f.severity is Severity.ERROR for f in wf):
-        findings += _requirement_findings(model, profile)
-    return _finish(findings, profile)
+        findings += [finding for rule, fn in _RULE_FUNCTIONS.items()
+                     if rule in profile.enabled_rules for finding in fn(model)]
+    overrides = profile.severity_overrides
+    return sort_findings([replace(f, severity=s) if (s := overrides.get(f.rule)) else f
+                          for f in findings])

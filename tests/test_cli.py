@@ -39,6 +39,19 @@ class TestCheck:
         assert result.exit_code == 1
         assert "ERROR" in result.output
 
+    def test_null_selection_rationale_fails_r4(self, runner, tmp_path):
+        # `~` is a YAML null, which reads as no rationale at all.
+        text = (FIXTURES / "28-scaffold-default.sac.yaml").read_text(encoding="utf-8")
+        rationale = "'PLACEHOLDER: rationale for selecting this normative document'"
+        assert text.count(rationale) == 1
+        path = tmp_path / "null-rationale.sac.yaml"
+        path.write_text(text.replace(rationale, "~"), encoding="utf-8")
+        result = runner.invoke(main, ["check", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "ERROR R4 G-CFM normative_requirements item 'NR-SAMPLE-1': no selection "
+            "rationale recorded for the normative document\n1 errors, 0 warnings\n")
+
     def test_json_format_schema(self, runner):
         result = runner.invoke(main, ["check", "--format", "json",
                                       fixture("22-root-only.sac.yaml")])

@@ -10,8 +10,9 @@ seeded mutation corpus and a seeded corpus of anchored and aliased
 collections give the reference parser's diagnostics, canonical dict and
 locations, and so do scalars that YAML 1.1 resolves to other tags.  A
 scalar tag that `yaml.SafeLoader` does not construct is refused on both
-backends.  A document that YAML refuses gives one `syntax` diagnostic and
-nothing else, whatever was read before the refusal: libyaml's messages at
+backends, and a scalar it constructs as null reads as "".  A document
+that YAML refuses gives one `syntax` diagnostic and nothing else,
+whatever was read before the refusal: libyaml's messages at
 the marks the base composer uses for an undefined alias, a duplicate anchor
 and a second document; the start of the collection at depth
 `parser.MAX_DEPTH` for a deeper node; and the offending character for a
@@ -32,6 +33,7 @@ from hypothesis import strategies as st
 import test_parser_table
 from gsnlint import parser
 from gsnlint.parser import parse_model
+from gsnlint.rules import evaluate, make_profile
 
 from genmodels import NEST_SHAPES, nest
 from test_parser_table import (aliased_cases, fixture_documents, mutated_cases, outcome,
@@ -143,7 +145,8 @@ def _styled(value: str, style: str) -> str:
 
 @settings(max_examples=200, deadline=None)
 @given(value=_SCALARS, style=st.sampled_from(["plain", "single", "double", "!"]),
-       tag=st.sampled_from(["", "!!str ", "!!bool ", "!!map ", "!!seq ", "!!set ", "!foo "]))
+       tag=st.sampled_from(["", "!!str ", "!!bool ", "!!null ", "!!map ", "!!seq ", "!!set ",
+                            "!foo "]))
 @example(value="0,!", style="plain", tag="")
 @example(value="yes", style="plain", tag="!!str ")
 @example(value="goal", style="plain", tag="!!bool ")
@@ -262,6 +265,34 @@ def test_tags_safe_loader_does_not_construct_are_refused(monkeypatch, loader):
         assert model is None
         assert [(d.code, d.message) for d in diags] == codes
         assert_reads_as_reference([("case.sac.yaml", text)], text)
+
+
+#: A YAML null in a string slot, and the text it reads as.
+NULL_SPELLINGS = {"~": "", "null": "", "Null": "", "NULL": "", "!!null ~": "", "! ~": "",
+                  "! '~'": "", "'~'": "~", "!!str null": "null", "nULL": "nULL"}
+
+
+@pytest.mark.parametrize("loader", BY_BACKEND)
+@pytest.mark.parametrize("spelling", NULL_SPELLINGS)
+def test_a_null_reads_as_an_empty_string(monkeypatch, loader, spelling):
+    """A scalar the safe loaders construct as null reads as "", as an empty
+    value does; so a null selection rationale is R4's missing rationale."""
+    read_with(monkeypatch, loader)
+    text = ("model: {id: m}\nmodules:\n  - id: m1\n    elements:\n"
+            "      - {id: G1, kind: goal, argument_type: conformance, traces: [NR-1],"
+            " supported_by: [SN1]}\n"
+            "      - {id: SN1, kind: solution, artifacts: [A1]}\n"
+            "artifacts: [{id: A1, role: evidence}]\n"
+            "registries:\n  normative_requirements:\n    - id: NR-1\n"
+            f"      selection_rationale: {spelling}\n")
+    model, diags = parse_model([("case.sac.yaml", text)])
+    assert model is not None, diags
+    rationale = NULL_SPELLINGS[spelling]
+    assert model.registries.normative_requirements[0].selection_rationale == rationale
+    assert_reads_as_reference([("case.sac.yaml", text)], text)
+    r4 = [f.message for f in evaluate(model, make_profile("core")) if f.rule == "R4"]
+    assert r4 == ([] if rationale else ["normative_requirements item 'NR-1': no selection "
+                                        "rationale recorded for the normative document"])
 
 
 def crossing_mark(shape: str, loader):

@@ -81,7 +81,7 @@ _BOOLEANS = {"true": True, "yes": True, "on": True, "false": False, "no": False,
 #: resolves a plain or `!`-tagged `<<` and `=` to `merge` and `value`, where
 #: the parser sees no tag, so those read as their text.  A node cannot show
 #: an explicit `!!merge <<` or `!!value =`, which the parser refuses; here
-#: they read as text too.
+#: they read as text too.  A node tagged `null` reads as "", like an empty value.
 _SCALAR_TAGS = {f"tag:yaml.org,2002:{name}"
                 for name in ("str", "int", "float", "bool", "null", "timestamp", "binary")}
 _SPELLED = {"tag:yaml.org,2002:merge": "<<", "tag:yaml.org,2002:value": "="}
@@ -196,7 +196,7 @@ class ReferenceDocParser:
         if node.tag not in _SCALAR_TAGS and _SPELLED.get(node.tag) != node.value:
             self.error(node, "bad-type", f"{where} must be a scalar, not tagged '{node.tag}'")
             return None
-        return node.value
+        return "" if node.tag == "tag:yaml.org,2002:null" else node.value
 
     def boolean(self, node, where: str) -> Optional[bool]:
         """A `bool`-tagged scalar that YAML 1.1 spells as true or false, in any case."""

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsnlint.cli import main
-from gsnlint.findings import Severity
+from gsnlint.findings import Severity, sort_findings
 from gsnlint.model import (
     REGISTRY_ITEMS,
     AcpRelation,
@@ -35,17 +35,16 @@ from gsnlint.rules import (
     CATALOG,
     PROFILE_RULES,
     WF_RULES,
-    PreconditionError,
     RuleProfile,
     UnknownRuleError,
-    check_requirements,
     evaluate,
     make_profile,
 )
 from gsnlint.scaffold import scaffold_reference_model
+from gsnlint.wellformed import check_wellformed
 
 from conftest import FIXTURES
-from genmodels import random_model
+from genmodels import ill_formed_model, random_model
 from mutations import MUTATIONS, mutate
 
 
@@ -97,7 +96,7 @@ class TestCatalog:
 
 class TestRuleProfile:
     """`RuleProfile` is the one place rule ids are checked, so no profile that
-    `evaluate` or `check_requirements` could be handed names an unknown rule."""
+    `evaluate` could be handed names an unknown rule."""
 
     BAD = [
         (dict(enabled_rules=frozenset({"R1", "Z9", "R99"})), "unknown rule id 'R99'"),
@@ -113,14 +112,13 @@ class TestRuleProfile:
             RuleProfile("custom", **kwargs)
         assert str(raised.value) == message
 
-    @pytest.mark.parametrize("run", [evaluate, check_requirements])
     @pytest.mark.parametrize("kwargs, message", BAD)
-    def test_no_rule_runs_with_an_unknown_id(self, monkeypatch, run, kwargs, message):
+    def test_no_rule_runs_with_an_unknown_id(self, monkeypatch, kwargs, message):
         def unreachable(model):
             raise AssertionError("evaluation began with an unknown rule id")
         monkeypatch.setattr("gsnlint.rules.check_wellformed", unreachable)
         with pytest.raises(UnknownRuleError) as raised:
-            run(scaffold_reference_model(), RuleProfile("custom", **kwargs))
+            evaluate(scaffold_reference_model(), RuleProfile("custom", **kwargs))
         assert str(raised.value) == message
 
     def test_none_overrides_read_as_none(self):
@@ -140,7 +138,7 @@ class TestEmptyModel:
         model = link_model("empty", modules=[GsnModule("m", [
             GsnElement("G1", ElementKind.GOAL, "Top claim", undeveloped=True),
         ])])
-        findings = check_requirements(model, make_profile("core"))
+        findings = evaluate(model, make_profile("core"))
         assert _errors(findings) == ["R1", "R10", "R5", "R9"]
 
 
@@ -160,7 +158,7 @@ def _pinned(rule: str, elements: list[GsnElement], **kw) -> list[tuple]:
     """(severity, message, elements) of one rule's findings on a model."""
     model = link_model(rule, modules=[GsnModule("m", elements)], **kw)
     return [(f.severity, f.message, f.elements)
-            for f in check_requirements(model, _only(rule))]
+            for f in evaluate(model, _only(rule))]
 
 
 class TestRuleBranches:
@@ -190,12 +188,12 @@ class TestRuleBranches:
         ])])
         assert model.root.id == "G1"
         assert [(f.severity, f.message, f.elements)
-                for f in check_requirements(model, _only("R1"))] == [
+                for f in evaluate(model, _only("R1"))] == [
             (Severity.ERROR, "risk argument is not reachable from the root goal 'G1'",
              ("S1",))]
 
     def test_r2_acps_with_an_empty_confidence_argument(self):
-        findings = check_requirements(self._acp_model(), _only("R2"))
+        findings = evaluate(self._acp_model(), _only("R2"))
         assert [(f.severity, f.message, f.elements) for f in findings] == [
             (Severity.ERROR,
              "assurance claim points are present but the confidence argument is empty", ()),
@@ -203,7 +201,7 @@ class TestRuleBranches:
              "is not part of the confidence argument", ("G1", "G2"))]
 
     def test_r10_acps_without_a_placement_rationale(self):
-        findings = check_requirements(self._acp_model(), _only("R10"))
+        findings = evaluate(self._acp_model(), _only("R10"))
         assert [(f.severity, f.message, f.elements) for f in findings] == [
             (Severity.ERROR, "assurance claim points are used but the soundness argument "
              "gives no rationale for their placement", ())]
@@ -359,11 +357,6 @@ class TestRuleBranches:
             (Severity.ERROR, "normative_requirements item 'NR-2': not traced from the "
              "relevant argument", ())]
 
-    def test_check_requirements_rejects_an_unknown_rule_id(self):
-        with pytest.raises(UnknownRuleError) as raised:
-            check_requirements(self._acp_model(), RuleProfile("custom", frozenset({"R1", "R99"})))
-        assert str(raised.value) == "unknown rule id 'R99'"
-
 
 class TestScaffold:
     def test_reference_model_is_fully_clean(self):
@@ -448,7 +441,7 @@ class TestSeverityOverrides:
             GsnElement("G1", ElementKind.GOAL, "Top claim", undeveloped=True),
         ])])
         profile = make_profile("core", severity_overrides={"R1": Severity.WARNING})
-        findings = check_requirements(model, profile)
+        findings = evaluate(model, profile)
         assert "R1" not in _errors(findings)
         assert "R1" in _warnings(findings)
 
@@ -477,14 +470,38 @@ class TestIllFormedInput:
             GsnElement("G1", ElementKind.GOAL, "claim"),
         ])], fragmentary=True)
 
-    def test_check_requirements_refuses(self):
-        with pytest.raises(PreconditionError):
-            check_requirements(self._broken_model(), make_profile("core"))
-
     def test_evaluate_reports_wf_instead(self):
         findings = evaluate(self._broken_model(), make_profile("core"))
         assert _errors(findings) == ["WF4"] or "WF5" in _errors(findings)
         assert not any(f.rule.startswith("R") for f in findings)
+
+    @pytest.mark.parametrize("profile_name", PROFILE_RULES)
+    def test_a_wf_error_is_the_one_gate(self, monkeypatch, reference_model, profile_name):
+        """On every model with a WF Error, `evaluate` returns each WF Error,
+        the enabled WF Warnings and Infos, and runs no requirement rule.
+        The scaffold mutations plant a requirement finding; a dangling
+        reference from the root goal then makes each one ill-formed."""
+        def unreachable(model):
+            raise AssertionError("a requirement rule ran on an ill-formed model")
+        for rule in _RULE_FUNCTIONS:
+            monkeypatch.setitem(_RULE_FUNCTIONS, rule, unreachable)
+        models = [ill_formed_model(seed) for seed in range(100)]
+        for mutation in MUTATIONS:
+            model = mutate(reference_model, mutation)
+            root = next(e for e in model.iter_elements() if e.id == "G-TOP")
+            root.supported_by += ("X1",)
+            models.append(model)
+        profile = make_profile(profile_name)
+        checked = 0
+        for model in models:
+            wf = check_wellformed(model)
+            if not any(f.severity is Severity.ERROR for f in wf):
+                continue
+            checked += 1
+            expected = [f for f in wf
+                        if f.severity is Severity.ERROR or f.rule in profile.enabled_rules]
+            assert evaluate(model, profile) == sort_findings(expected), model.id
+        assert checked == 99 + len(MUTATIONS)
 
 
 class TestFindingShape:
