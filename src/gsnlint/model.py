@@ -371,21 +371,21 @@ class GsnModel:
             out.setdefault(artifact.id, artifact)
         return out
 
-    def _referrers(self, relation: str) -> dict[str, list[str]]:
-        """Inverse of a relation: element id -> ids of the elements naming it."""
-        refs: dict[str, list[str]] = {eid: [] for eid in self.index}
+    def _referrers(self, relation: str) -> dict[str, tuple[str, ...]]:
+        """Inverse of a relation: element id -> ids of the elements naming it,
+        and the one empty tuple for every element nothing names."""
+        named: dict[str, list[str]] = {}
         for element in self.index.values():
             for target in getattr(element, relation):
-                if target in refs:
-                    refs[target].append(element.id)
-        return refs
+                named.setdefault(target, []).append(element.id)
+        return {eid: tuple(named.get(eid, ())) for eid in self.index}
 
     @cached_property
-    def support_parents(self) -> dict[str, list[str]]:
+    def support_parents(self) -> dict[str, tuple[str, ...]]:
         return self._referrers("supported_by")
 
     @cached_property
-    def context_referencers(self) -> dict[str, list[str]]:
+    def context_referencers(self) -> dict[str, tuple[str, ...]]:
         return self._referrers("in_context_of")
 
     @cached_property
@@ -426,7 +426,7 @@ class GsnModel:
         """
         eff: dict[str, frozenset[ArgumentType]] = {}
 
-        def inherit(ids: list[str]) -> frozenset[ArgumentType]:
+        def inherit(ids: tuple[str, ...]) -> frozenset[ArgumentType]:
             if len(ids) == 1:
                 return eff.get(ids[0], _UNTYPED)
             return _UNTYPED.union(*[eff.get(i, _UNTYPED) for i in ids])

@@ -22,6 +22,11 @@ lenient, and its second value is not read, unless its `_Key` appends.
 Only scalars may be aliased: an alias to a scalar reads as the scalar, and
 an alias to a collection, read, open or skipped, is an Error `alias` at the
 anchored collection.  So a skipped value keeps none of its events.
+
+The model holds each value once: equal strings read in one `parse_model`
+call are one object, and so are equal sets of roles, traces or artifacts.
+Each document's loader is dropped when its read ends, and the tables of
+shared values before the structural guards run.
 """
 
 from __future__ import annotations
@@ -85,8 +90,12 @@ class _DocParser:
     loader of `yaml.compose(text, Loader=parser.loader)`, and each reader
     reads or skips all of its value's events."""
 
-    def __init__(self, path: str, lenient: bool, header_declared: bool):
+    def __init__(self, path: str, lenient: bool, header_declared: bool,
+                 strings: dict, sets: dict):
         self.path, self.lenient = path, lenient
+        # The one object per distinct string, and per distinct set of each set
+        # reader, read in a `parse_model` call.
+        self.share, self.sets = strings.setdefault, sets
         self.diags: list[ParseDiagnostic] = []
         self.header_declared = header_declared
         self.header: Optional[dict] = None
@@ -95,9 +104,14 @@ class _DocParser:
         self.open: list = []  # the start marks of the loader's open collections
 
     def loader(self, stream: str) -> _DocParser:
-        loader = _Loader(stream)
-        self.pull, self.dispose = loader.get_event, loader.dispose
+        self.pull = _Loader(stream).get_event
         return self
+
+    def dispose(self) -> None:
+        """Dispose of the loader as `yaml.compose` returns, and drop it, so its
+        copy of the text and libyaml's buffers are freed before the next step."""
+        self.pull.__self__.dispose()
+        del self.pull
 
     def get_single_node(self) -> None:
         """Read the document's sections into `header` and `parts`."""
@@ -208,7 +222,7 @@ class _DocParser:
             if (value in _NULL_VALUES and tag in (None, "!") and event.implicit[0]
                     or tag is not None and tag == _NULL_TAG):
                 return ""
-            return value
+            return self.share(value, value)
         tagged = f", not tagged '{event.tag}'" if type(event) is _SCALAR else ""
         self.error(event, "bad-type", f"{where} must be a scalar{tagged}")
         self.skip(event)
@@ -337,6 +351,16 @@ def _list(read: _Reader, entry_label: Optional[str] = None) -> _Reader:
     return lambda parser, event, label: parser.records(event, label, read, entry_label)
 
 
+def _set(read: _Reader) -> _Reader:
+    """A list reader's values as a frozenset, one object per distinct set that
+    `read` gives in a `parse_model` call."""
+    def read_set(parser: _DocParser, event, label: str) -> frozenset:
+        values = frozenset(read(parser, event, label))
+        shared = parser.sets.setdefault(read, {})  # a set of ids may equal a set of roles
+        return shared.setdefault(values, values)
+    return read_set
+
+
 def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...]) -> _Spec:
     """A spec whose keys are `cls`'s fields: enum-typed ones read as enums,
     the rest as scalars; `label` is formatted with the key.  A `location`
@@ -353,6 +377,7 @@ def _dataclass_spec(cls, where: str, label: str, required: tuple[str, ...]) -> _
 
 
 _STRINGS = _list(_DocParser.string)
+_STRING_SET = _set(_STRINGS)
 
 _ACP = _dataclass_spec(AssuranceClaimPoint, "acp entry", "acp {}",
                        ("target", "relation", "confidence_goal"))
@@ -363,11 +388,11 @@ _ELEMENT = _Spec("element entry", GsnElement, {
     "text": _Key("text", _DocParser.string, "element text"),
     "undeveloped": _Key("undeveloped", _DocParser.boolean, "undeveloped"),
     "argument_type": _Key("argument_type", _enum(ArgumentType), "argument_type"),
-    "roles": _Key("roles", _list(_enum(RoleTag), "role"), "roles"),
+    "roles": _Key("roles", _set(_list(_enum(RoleTag), "role")), "roles"),
     "supported_by": _Key("supported_by", _STRINGS, "supported_by"),
     "in_context_of": _Key("in_context_of", _STRINGS, "in_context_of"),
-    "traces": _Key("traces", _STRINGS, "traces"),
-    "artifacts": _Key("artifacts", _STRINGS, "artifacts"),
+    "traces": _Key("traces", _STRING_SET, "traces"),
+    "artifacts": _Key("artifacts", _STRING_SET, "artifacts"),
     "acp": _Key("acps", _list(_ACP), "acp"),
 }, required=("id", "kind"), located=True)
 
@@ -420,9 +445,11 @@ def parse_model(
         header: Optional[dict] = None
         header_declared = False
         parts: dict[str, list] = {}  # modules, artifacts and each registry's items
+        strings: dict[str, str] = {}
+        sets: dict = {}
 
         for path, text in documents:
-            parser = _DocParser(path, lenient, header_declared)
+            parser = _DocParser(path, lenient, header_declared, strings, sets)
             try:
                 yaml.compose(text, Loader=parser.loader)
             except yaml.YAMLError as exc:
@@ -434,6 +461,8 @@ def parse_model(
             for found in parser.parts:
                 for name, items in found.items():
                     parts.setdefault(name, []).extend(items)
+        strings.clear()  # the records keep what they share; the guards run without the tables
+        sets.clear()
 
         if header is None:
             diags.append(ParseDiagnostic(

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from gsnlint import parser
 from gsnlint.cli import main
 from gsnlint.findings import Severity
-from gsnlint.model import ArgumentType, ElementKind, canonical_dict, models_equal
+from gsnlint.model import (REGISTRY_ITEMS, ArgumentType, ElementKind, canonical_dict,
+                           models_equal)
 from gsnlint.parser import load_model, parse_model, serialize_model, serialize_registries
 
 from conftest import FIXTURES, bad_fixture_paths, good_fixture_groups
@@ -602,9 +603,28 @@ def test_parse_time_grows_linearly():
     assert ratio <= 6, f"parse_model at 10k took {ratio:.2f}x its time at 2.5k"
 
 
+def traced_parse(documents, lenient=False):
+    """The model `parse_model` returns, and the bytes tracemalloc saw it
+    return and hold at its peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model, diags = parse_model(documents, lenient=lenient)
+        size, peak = (traced - before for traced in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert model is not None, diags
+    return model, size, peak
+
+
 #: The most that `parse_model` holds at its peak, in models of the size it
-#: returns: 1.22 was measured on one document, 1.11 on split documents and
-#: 1.26 on one document with a skipped section.
+#: returns.  For `big_model(4000, 2000)`, a model of 2.03 MiB, the peaks
+#: measured were 2.64 MiB on one document (1.30 models), 2.36 MiB on split
+#: documents (1.17) and 2.75 MiB on one document with a skipped section
+#: (1.36).  The peak is the end of the last document's read, where the
+#: records, the tables of shared values and the loader's UTF-8 copy of the
+#: text meet.
 PEAK_MODELS = 1.5
 
 
@@ -622,13 +642,45 @@ def test_parse_peak_memory_is_at_most_k_models(shape):
         documents[0] = (documents[0][0], documents[0][1] + "x-notes:\n" + "".join(
             f"  - {{id: N{i}, note: n}}\n" for i in range(5000)))
     del model
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        model, diags = parse_model(documents, lenient=shape == "skipped-section")
-        size, peak = (traced - before for traced in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
-    assert model is not None, diags
+    _, size, peak = traced_parse(documents, lenient=shape == "skipped-section")
     assert peak <= PEAK_MODELS * size, peak / size
+
+
+#: The most bytes per element that the model `parse_model` returns for
+#: `big_model(4000, 2000)` may hold, its cached views included: 531 were
+#: measured on CPython 3.11 (843 before values were shared).
+MODEL_BYTES_PER_ELEMENT = 600
+
+
+def test_parsed_model_size_per_element():
+    documents = [("model.sac.yaml", serialize_model(big_model(4000, 2000)))]
+    model, size, _ = traced_parse(documents)
+    per_element = size / len(model.index)
+    assert per_element <= MODEL_BYTES_PER_ELEMENT, per_element
+
+
+def test_parsed_model_holds_each_value_once():
+    """On every good fixture, each reference is the id string of the record
+    it names, in any document, and elements with equal roles, traces or
+    artifacts share one frozenset."""
+    checked = 0
+    for name, paths in good_fixture_groups():
+        model, diags = load_model(paths)
+        assert model is not None, (name, diags)
+        items = {item.id: item for registry in REGISTRY_ITEMS
+                 for item in getattr(model.registries, registry)}
+        for element in model.iter_elements():
+            for refs, named in ((element.supported_by, model.index),
+                                (element.in_context_of, model.index),
+                                (element.traces, items),
+                                (element.artifacts, model.artifact_index)):
+                for ref in refs:
+                    if ref in named:
+                        assert ref is named[ref].id, (name, element.id, ref)
+                        checked += 1
+        for field in ("roles", "traces", "artifacts"):
+            shared: dict = {}
+            for element in model.iter_elements():
+                value = getattr(element, field)
+                assert shared.setdefault(value, value) is value, (name, element.id, field)
+    assert checked

@@ -7,7 +7,8 @@ order), canonical dicts and the locations of every element, registry item
 and artifact must be equal.  The corpus
 is every fixture, strict and lenient, seeded mutations of the fixtures,
 fixtures with anchors and aliases at random collection positions, and
-text-level cases for repeated keys, aliases and empty versions.
+text-level cases for repeated keys, aliases, empty versions and the
+`<<` and `=` scalars.
 
 A key repeated in one mapping is an Error `duplicate-key` at the repeated
 key, in strict and lenient mode alike, except where the repetition
@@ -27,6 +28,7 @@ constructs as a scalar (`str`, `int`, `float`, `bool`, `null`, `timestamp`,
 from __future__ import annotations
 
 import copy
+import functools
 import random
 from typing import Optional
 
@@ -77,14 +79,23 @@ _HEADER_KEYS = {"id", "version", "fragmentary"}
 _REGISTRY_NAMES = ("hazards", "regulatory_requirements", "normative_requirements",
                    "risk_acceptance_criteria")
 _BOOLEANS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
-#: The tags of the scalars `yaml.SafeLoader` constructs.  The composer also
-#: resolves a plain or `!`-tagged `<<` and `=` to `merge` and `value`, where
-#: the parser sees no tag, so those read as their text.  A node cannot show
-#: an explicit `!!merge <<` or `!!value =`, which the parser refuses; here
-#: they read as text too.  A node tagged `null` reads as "", like an empty value.
+#: The tags of the scalars `yaml.SafeLoader` constructs.  A node tagged
+#: `null` reads as "", like an empty value.
 _SCALAR_TAGS = {f"tag:yaml.org,2002:{name}"
                 for name in ("str", "int", "float", "bool", "null", "timestamp", "binary")}
-_SPELLED = {"tag:yaml.org,2002:merge": "<<", "tag:yaml.org,2002:value": "="}
+_SPELLED = {"tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"}
+
+
+@functools.cache
+def reference_loader(base: type) -> type:
+    """`base`, except that a plain or `!`-tagged `<<` or `=` resolves to `str`,
+    where the parser sees no tag and reads the text.  An explicit `!!merge <<`
+    or `!!value =` keeps its tag, and the parser refuses it."""
+    class ReferenceLoader(base):
+        def resolve(self, kind, value, implicit):
+            tag = super().resolve(kind, value, implicit)
+            return "tag:yaml.org,2002:str" if tag in _SPELLED else tag
+    return ReferenceLoader
 
 
 class ReferenceDocParser:
@@ -193,7 +204,7 @@ class ReferenceDocParser:
             self.error(node, "bad-type", f"{where} must be a scalar")
             self.skip(node)
             return None
-        if node.tag not in _SCALAR_TAGS and _SPELLED.get(node.tag) != node.value:
+        if node.tag not in _SCALAR_TAGS:
             self.error(node, "bad-type", f"{where} must be a scalar, not tagged '{node.tag}'")
             return None
         return "" if node.tag == "tag:yaml.org,2002:null" else node.value
@@ -446,7 +457,7 @@ def reference_parse_model(
     for path, text in documents:
         parser = ReferenceDocParser(path, lenient, diags, seen_ids, repeated_ids)
         try:
-            root = yaml.compose(text, Loader=_Loader)
+            root = yaml.compose(text, Loader=reference_loader(_Loader))
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             line = mark.line + 1 if mark else 1
@@ -868,6 +879,24 @@ modules:
 ], ids=["second-header", "header-after-element", "amplifying"])
 def test_text_level_aliases_match_reference(text):
     assert_same([("case.sac.yaml", text)], text)
+
+
+@pytest.mark.parametrize("scalar, tag", [
+    ("<<", None), ("=", None), ("! <<", None),
+    ("!!merge <<", "tag:yaml.org,2002:merge"), ("!!value =", "tag:yaml.org,2002:value"),
+])
+def test_merge_and_value_read_as_text_unless_tagged(scalar, tag):
+    """A `<<` or `=` the composer resolves to `merge` or `value` reads as its
+    text; with that tag written out it is refused."""
+    text = HEADER + _MODULE + f"      - {{id: G1, kind: goal, text: {scalar}}}\n"
+    documents = [("case.sac.yaml", text)]
+    assert_same(documents, text)
+    model, diags = parse_model(documents)
+    if tag is None:
+        assert not diags and model.modules[0].elements[0].text == scalar.lstrip("! ")
+    else:
+        assert [(d.code, d.message, d.line) for d in diags] == [
+            ("bad-type", f"element text must be a scalar, not tagged '{tag}'", 5)]
 
 
 @pytest.mark.parametrize("version", ["version: ''", "version:"])

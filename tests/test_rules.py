@@ -192,6 +192,16 @@ class TestRuleBranches:
             (Severity.ERROR, "risk argument is not reachable from the root goal 'G1'",
              ("S1",))]
 
+    def test_r1_one_topmost_risk_member_reached_from_the_root_suffices(self):
+        # G2 and S1 are the risk argument's topmost members; the root reaches G2 only.
+        assert _pinned("R1", [
+            _goal("G1", supported_by=("G2",)),
+            _goal("G2", ArgumentType.RISK, supported_by=("SN1",)), _solution("SN1"),
+            GsnElement("S1", ElementKind.STRATEGY, "risk", argument_type=ArgumentType.RISK,
+                       supported_by=("G3",)),
+            _goal("G3", supported_by=("SN2",)), _solution("SN2"),
+        ]) == []
+
     def test_r2_acps_with_an_empty_confidence_argument(self):
         findings = evaluate(self._acp_model(), _only("R2"))
         assert [(f.severity, f.message, f.elements) for f in findings] == [
@@ -248,6 +258,16 @@ class TestRuleBranches:
         ) == [(Severity.ERROR, "hazard 'H-1': hazard-management elements lack supporting "
                 "solutions", ("G2",))]
 
+    def test_r6_one_backed_hazard_management_tracer_suffices(self):
+        # Both G2 and G3 manage H-1; only G2 has a solution below it.
+        manages = dict(roles={RoleTag.HAZARD_MANAGEMENT}, traces={"H-1"})
+        assert _pinned("R6", [
+            _goal("G1", ArgumentType.PRODUCT, supported_by=("G2", "G3")),
+            _goal("G2", supported_by=("SN1",), **manages), _solution("SN1"),
+            _goal("G3", undeveloped=True, **manages),
+        ], registries=Registries(hazards=[Hazard("H-1", status=HazardStatus.MANAGED)]),
+        ) == []
+
     def test_r8_no_safety_culture(self):
         assert _pinned("R8", [
             _goal("G1", ArgumentType.PROCESS, supported_by=("SN1",)), _solution("SN1"),
@@ -262,6 +282,14 @@ class TestRuleBranches:
             _solution("SN1"),
         ]) == [(Severity.ERROR, "safety-culture elements lack supporting solutions",
                 ("G2", "G3"))]
+
+    def test_r8_one_backed_safety_culture_member_suffices(self):
+        culture = {RoleTag.SAFETY_CULTURE}
+        assert _pinned("R8", [
+            _goal("G1", ArgumentType.PROCESS, supported_by=("G2", "G3")),
+            _goal("G2", roles=culture, supported_by=("SN1",)), _solution("SN1"),
+            _goal("G3", roles=culture, undeveloped=True),
+        ]) == []
 
     def test_r9_no_contextualization_argument(self):
         assert _pinned("R9", [
@@ -285,6 +313,16 @@ class TestRuleBranches:
             (Severity.ERROR, f"context dimension '{dimension}' has no context document "
              "referenced from the contextualization argument", ())
             for dimension in ("traffic", "weather", "weather")]
+
+    def test_r9_only_a_context_document_documents_its_dimension(self):
+        # The argument references an evidence artifact that names the 'odd' dimension.
+        assert _pinned("R9", [
+            _goal("G1", ArgumentType.CONTEXTUALIZATION, supported_by=("SN1",)),
+            _solution("SN1", artifacts={"A-EV"}),
+        ], registries=Registries(context_dimensions=["odd"]),
+            artifacts=[Artifact("A-EV", ArtifactRole.EVIDENCE, dimension="odd")],
+        ) == [(Severity.ERROR, "context dimension 'odd' has no context document referenced "
+               "from the contextualization argument", ())]
 
     def test_r10_no_soundness_argument(self):
         assert _pinned("R10", [
@@ -327,6 +365,13 @@ class TestRuleBranches:
              "product argument", ()),
             (Severity.ERROR, "global risk acceptance criteria lack elements with roles: "
              "rac_evaluate, rac_maintain", ("G2", "G3"))]
+
+    def test_tl1_phrase_matches_in_any_case(self):
+        assert _pinned("TL1", [
+            GsnElement("G1", ElementKind.GOAL, "The system shows an Absence of Unreasonable "
+                       "Risk", supported_by=("SN1",)),
+            _solution("SN1"),
+        ]) == []
 
     def _r4(self, *conformance_roles, traced=True):
         """R4 on NR-1 (no rationale) and NR-2 (its own rationale), both
