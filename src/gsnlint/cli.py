@@ -134,20 +134,25 @@ def check(paths, profile, fmt, lenient, strict_warnings, severity_pairs) -> tupl
             profile, _parse_severity_overrides(severity_pairs))
     except rules_mod.UnknownRuleError as exc:
         raise click.UsageError(str(exc))
-    model = _load(paths, lenient, fmt == "json")
-    findings = rules_mod.evaluate(model, rule_profile)
-    bundle = ReportBundle(
+    bundle = _report(_load(paths, lenient, fmt == "json"), profile, rule_profile)
+    summary = bundle.summary
+    code = 1 if summary["errors"] or (strict_warnings and summary["warnings"]) else 0
+    return emit_findings(bundle, fmt), code
+
+
+def _report(model, profile: str, rule_profile: rules_mod.RuleProfile) -> ReportBundle:
+    """What `check` reports on `model`.  The bundle holds no part of the model
+    but shared strings and locations, so the model and its views are freed
+    as this returns, before the report is written."""
+    return ReportBundle(
         model_id=model.id,
         model_version=model.version,
         profile=profile,
-        findings=findings,
+        findings=rules_mod.evaluate(model, rule_profile),
         matrices=[trace_registry(model, name) for name in sorted(REGISTRY_SUBSETS)],
         acp_report=acp_report(model),
         evidence_report=evidence_report(model),
     )
-    summary = bundle.summary
-    code = 1 if summary["errors"] or (strict_warnings and summary["warnings"]) else 0
-    return emit_findings(bundle, fmt), code
 
 
 @main.command()

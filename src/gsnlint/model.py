@@ -12,6 +12,7 @@ cached.
 from __future__ import annotations
 
 import enum
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
@@ -118,22 +119,36 @@ class GsnElement:
     text: str = ""
     undeveloped: bool = False
     argument_type: Optional[ArgumentType] = None
-    roles: frozenset[RoleTag] = frozenset()
+    roles: tuple[RoleTag, ...] = ()
     supported_by: tuple[str, ...] = ()
     in_context_of: tuple[str, ...] = ()
-    traces: frozenset[str] = frozenset()
-    artifacts: frozenset[str] = frozenset()
+    traces: tuple[str, ...] = ()
+    artifacts: tuple[str, ...] = ()
     acps: tuple[AssuranceClaimPoint, ...] = ()
     location: Optional[SourceLocation] = None
 
     def __post_init__(self) -> None:
-        # Normalize collection fields so hand-built elements behave like parsed ones.
-        self.roles = frozenset(self.roles)
+        # Normalize collection fields so hand-built elements behave like parsed
+        # ones.  A tuple of one value or none, as most are, takes no call.
+        if type(self.roles) is not tuple or len(self.roles) > 1:
+            self.roles = _value_set(self.roles)
         self.supported_by = tuple(self.supported_by)
         self.in_context_of = tuple(self.in_context_of)
-        self.traces = frozenset(self.traces)
-        self.artifacts = frozenset(self.artifacts)
+        if type(self.traces) is not tuple or len(self.traces) > 1:
+            self.traces = _value_set(self.traces)
+        if type(self.artifacts) is not tuple or len(self.artifacts) > 1:
+            self.artifacts = _value_set(self.artifacts)
         self.acps = tuple(self.acps)
+
+
+def _value_set(values) -> tuple:
+    """`values` as a sorted tuple holding each value once.  A sorted tuple is
+    kept, so parsed elements keep the tuples a parse shares."""
+    if type(values) is tuple and all(map(operator.lt, values, values[1:])):
+        return values
+    if type(values) in (set, frozenset) and len(values) < 2:
+        return tuple(values)
+    return tuple(sorted(set(values)))
 
 
 @dataclass(slots=True)
@@ -372,13 +387,18 @@ class GsnModel:
         return out
 
     def _referrers(self, relation: str) -> dict[str, tuple[str, ...]]:
-        """Inverse of a relation: element id -> ids of the elements naming it,
-        and the one empty tuple for every element nothing names."""
+        """Inverse of a relation: element id -> ids of the elements naming it.
+        Equal lists of ids share one tuple, and every element nothing names
+        the one empty tuple."""
         named: dict[str, list[str]] = {}
         for element in self.index.values():
             for target in getattr(element, relation):
                 named.setdefault(target, []).append(element.id)
-        return {eid: tuple(named.get(eid, ())) for eid in self.index}
+        shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+        for target, ids in named.items():
+            ids = tuple(ids)
+            named[target] = shared.setdefault(ids, ids)
+        return {eid: named.get(eid, ()) for eid in self.index}
 
     @cached_property
     def support_parents(self) -> dict[str, tuple[str, ...]]:
@@ -566,10 +586,10 @@ def _registries_dict(model: GsnModel) -> dict:
 
 
 def _record_dict(record) -> dict:
-    """Any model record in field order: enums as their values, frozensets
-    sorted, tuples as lists of plain values; None, False and empty
-    collections dropped, strings always kept, `location` never written and
-    `acps` under its YAML key `acp`."""
+    """Any model record in field order: enums as their values, tuples as
+    lists of plain values; None, False and empty collections dropped,
+    strings always kept, `location` never written and `acps` under its YAML
+    key `acp`."""
     out: dict = {}
     for f in fields(record):
         value = getattr(record, f.name)
@@ -581,8 +601,6 @@ def _record_dict(record) -> dict:
 def _plain(value):
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, frozenset):
-        return sorted(_plain(v) for v in value)
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     if is_dataclass(value):

@@ -23,18 +23,25 @@ Only scalars may be aliased: an alias to a scalar reads as the scalar, and
 an alias to a collection, read, open or skipped, is an Error `alias` at the
 anchored collection.  So a skipped value keeps none of its events.
 
+A document is a `str` or an open text file; a file is read in chunks as
+its events are pulled, so its text is never held whole.  A file that cannot
+be read to its end, for example one that is not UTF-8, gives an `io`
+diagnostic, and then only `io` diagnostics are returned.
+
 The model holds each value once: equal strings read in one `parse_model`
-call are one object, and so are equal sets of roles, traces or artifacts.
+call are one object, and so are equal tuples of roles, traces or artifacts.
 Each document's loader is dropped when its read ends, and the tables of
 shared values before the structural guards run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import gc
+import io
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Optional, get_type_hints
+from typing import Callable, NamedTuple, Optional, TextIO, Union, get_type_hints
 
 import yaml
 
@@ -83,6 +90,44 @@ _SCALAR_TAGS = frozenset({None, "!", *(f"tag:yaml.org,2002:{name}" for name in (
 _NULL_TAG = "tag:yaml.org,2002:null"
 _NULL_VALUES = frozenset({"~", "null", "Null", "NULL"})
 
+#: How much of a file is read at a time, in characters, once the loader stops.
+_CHUNK = 1 << 16
+
+
+class _Text:
+    """An open text document as the loader reads it: in chunks, and named as
+    PyYAML names a `str`, so libyaml's messages read alike.  A read that
+    fails ends the text and keeps its reason in `failure`.  A document that
+    cannot seek is read whole at once, so that a reader error can be placed."""
+
+    name = "<unicode string>"
+
+    def __init__(self, handle: TextIO):
+        self.handle, self.failure = handle, None
+        if not handle.seekable():
+            self.handle = io.StringIO(self.read())
+
+    def read(self, size: int = -1) -> str:
+        try:
+            return self.handle.read(size)
+        except UnicodeDecodeError:
+            self.failure = "not UTF-8 text"
+        except OSError as exc:
+            self.failure = str(exc.strerror)
+        return ""
+
+    def drain(self) -> Optional[str]:
+        """Read what the loader left, so a failure past a YAML error is found;
+        the reason the document cannot be read, if it cannot."""
+        while self.read(_CHUNK):
+            pass
+        return self.failure
+
+    def whole(self) -> str:
+        """The text again, from its start."""
+        self.handle.seek(0)
+        return self.read()
+
 
 class _DocParser:
     """Reads one document's events into records and diagnostics, kept here
@@ -103,7 +148,7 @@ class _DocParser:
         self.anchors: dict = {}  # anchor -> its scalar or collection start event
         self.open: list = []  # the start marks of the loader's open collections
 
-    def loader(self, stream: str) -> _DocParser:
+    def loader(self, stream: Union[str, _Text]) -> _DocParser:
         self.pull = _Loader(stream).get_event
         return self
 
@@ -352,11 +397,11 @@ def _list(read: _Reader, entry_label: Optional[str] = None) -> _Reader:
 
 
 def _set(read: _Reader) -> _Reader:
-    """A list reader's values as a frozenset, one object per distinct set that
-    `read` gives in a `parse_model` call."""
-    def read_set(parser: _DocParser, event, label: str) -> frozenset:
-        values = frozenset(read(parser, event, label))
-        shared = parser.sets.setdefault(read, {})  # a set of ids may equal a set of roles
+    """A list reader's values as a sorted tuple holding each value once, one
+    object per distinct tuple that `read` gives in a `parse_model` call."""
+    def read_set(parser: _DocParser, event, label: str) -> tuple:
+        values = tuple(sorted(set(read(parser, event, label))))
+        shared = parser.sets.setdefault(read, {})  # ids may equal roles, a `str` enum
         return shared.setdefault(values, values)
     return read_set
 
@@ -422,14 +467,16 @@ _HEADER = _Spec("model header", dict, {
 
 
 def parse_model(
-    documents: list[tuple[str, str]],
+    documents: list[tuple[str, Union[str, TextIO]]],
     lenient: bool = False,
 ) -> tuple[Optional[GsnModel], list[ParseDiagnostic]]:
-    """Parse and link one model from one or more documents.
+    """Parse and link one model from one or more (path, document) pairs,
+    each document a `str` or an open text file.
 
     Returns ``(model, diagnostics)``; the model is ``None`` exactly when at
     least one Error diagnostic was produced.  In lenient mode unknown keys
-    demote to warnings.
+    demote to warnings.  A file that cannot be read to its end gives an
+    `io` diagnostic, and then only `io` diagnostics are returned.
 
     The cyclic garbage collector is paused for the call and left as it was
     found: the model is many small objects, and the collector would rescan
@@ -448,13 +495,21 @@ def parse_model(
         strings: dict[str, str] = {}
         sets: dict = {}
 
-        for path, text in documents:
+        for path, document in documents:
             parser = _DocParser(path, lenient, header_declared, strings, sets)
+            text = document if isinstance(document, str) else _Text(document)
             try:
                 yaml.compose(text, Loader=parser.loader)
+                error = None
             except yaml.YAMLError as exc:
-                diags.append(ParseDiagnostic(Severity.ERROR, "syntax", f"malformed document: {exc}",
-                                             path, *_error_position(exc, text)))
+                error = exc
+            failure = None if text is document else text.drain()
+            if failure is not None:
+                diags.append(_unreadable(path, failure))
+                continue
+            if error is not None:
+                diags.append(ParseDiagnostic(Severity.ERROR, "syntax", f"malformed document: {error}",
+                                             path, *_error_position(error, text)))
                 continue
             diags += parser.diags
             header, header_declared = parser.header or header, parser.header_declared
@@ -463,6 +518,9 @@ def parse_model(
                     parts.setdefault(name, []).extend(items)
         strings.clear()  # the records keep what they share; the guards run without the tables
         sets.clear()
+        unread = [d for d in diags if d.code == "io"]
+        if unread:
+            return None, unread
 
         if header is None:
             diags.append(ParseDiagnostic(
@@ -484,11 +542,14 @@ def parse_model(
             gc.enable()
 
 
-def _error_position(exc: yaml.YAMLError, text: str) -> tuple[int, int]:
-    """The 1-based line and column of `exc` in `text`; a reader error has an offset."""
+def _error_position(exc: yaml.YAMLError, text: Union[str, _Text]) -> tuple[int, int]:
+    """The 1-based line and column of `exc` in `text`; a reader error has an
+    offset, placed in the text read again."""
     mark = getattr(exc, "problem_mark", None)
     if mark is not None:
         return mark.line + 1, mark.column + 1
+    if not isinstance(text, str):
+        text = text.whole()
     offset = getattr(exc, "position", 0)
     if not issubclass(_Loader, yaml.reader.Reader):  # libyaml counts UTF-8 bytes
         offset = len(text.encode("utf-8")[:offset].decode("utf-8", "ignore"))
@@ -498,20 +559,26 @@ def _error_position(exc: yaml.YAMLError, text: str) -> tuple[int, int]:
 def load_model(
     paths: list[str], lenient: bool = False
 ) -> tuple[Optional[GsnModel], list[ParseDiagnostic]]:
-    """Read documents from disk, then parse as one model."""
-    documents: list[tuple[str, str]] = []
-    diags: list[ParseDiagnostic] = []
-    for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                documents.append((str(path), handle.read()))
-        except (OSError, UnicodeDecodeError) as exc:
-            reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
-            diags.append(ParseDiagnostic(
-                Severity.ERROR, "io", f"cannot read '{path}': {reason}", str(path)))
-    if diags:
-        return None, diags
-    return parse_model(documents, lenient=lenient)
+    """Open the documents and parse them as one model, each file read in
+    chunks as it is parsed.  A document that cannot be opened or read to its
+    end gives an `io` diagnostic, and then only `io` diagnostics are returned."""
+    with contextlib.ExitStack() as files:
+        documents: list = []
+        for path in map(str, paths):
+            try:
+                documents.append((path, files.enter_context(open(path, "r", encoding="utf-8"))))
+            except OSError as exc:
+                documents.append((path, exc))
+        if not any(isinstance(handle, OSError) for _, handle in documents):
+            return parse_model(documents, lenient=lenient)
+        # A document did not open: the others are only read, for io diagnostics of their own.
+        reasons = [(path, str(handle.strerror) if isinstance(handle, OSError)
+                    else _Text(handle).drain()) for path, handle in documents]
+    return None, [_unreadable(path, reason) for path, reason in reasons if reason is not None]
+
+
+def _unreadable(path: str, reason: str) -> ParseDiagnostic:
+    return ParseDiagnostic(Severity.ERROR, "io", f"cannot read '{path}': {reason}", path)
 
 
 def serialize_model(model: GsnModel, include_registries: bool = True) -> str:

@@ -68,7 +68,7 @@ class _Builder:
             title=f"PLACEHOLDER: evidence for {eid}",
             uri=f"evidence/{eid}.pdf"))
         return self.add(GsnElement(eid, ElementKind.SOLUTION, text,
-                                   artifacts=frozenset({artifact_id})))
+                                   artifacts=(artifact_id,)))
 
     def backed_goal(self, eid: str, text: str, **kwargs) -> GsnElement:
         """Goal supported by its own placeholder solution."""
@@ -110,7 +110,7 @@ def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
         b.artifacts.append(doc)
         b.add(GsnElement(f"C-{dim}", ElementKind.CONTEXT,
                          f"PLACEHOLDER: {title} documentation",
-                         artifacts=frozenset({doc.id})))
+                         artifacts=(doc.id,)))
         b.backed_goal(f"G-CTX-{dim}",
                       f"PLACEHOLDER: the {title} establishes adequate context",
                       in_context_of=(f"C-{dim}",))
@@ -124,11 +124,11 @@ def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
     b.backed_goal("G-SND-UNC",
                   "PLACEHOLDER: uncertainty in the argumentation is accounted "
                   "for by the applied methods",
-                  roles={RoleTag.UNCERTAINTY_METHOD})
+                  roles=(RoleTag.UNCERTAINTY_METHOD,))
     b.backed_goal("G-SND-ACP",
                   "PLACEHOLDER: assurance claim points are placed and aggregated "
                   "purposefully",
-                  roles={RoleTag.ACP_RATIONALE})
+                  roles=(RoleTag.ACP_RATIONALE,))
     b.argument("G-SND", "PLACEHOLDER: the argumentation is sound",
                "S-SND", "PLACEHOLDER: argue over the methods applied to keep "
                "the argumentation sound", ("G-SND-UNC", "G-SND-ACP"),
@@ -141,32 +141,32 @@ def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
             (RacLevel.GLOBAL, "RAC-GLOBAL-1", RoleTag.GLOBAL_RAC),
             (RacLevel.SCENARIO, "RAC-SCENARIO-1", RoleTag.SCENARIO_RAC)):
         tag = level.value.upper()
-        traces = frozenset({trace_id}) if samples else frozenset()
+        traces = (trace_id,) if samples else ()
         for verb, role in verbs:
             b.backed_goal(
                 f"G-RAC-{tag}-{verb}",
                 f"PLACEHOLDER: {level.value} risk acceptance criteria are "
                 f"{verb.lower()}d appropriately",
-                roles={role}, traces=traces)
+                roles=(role,), traces=traces)
         b.argument(f"G-RAC-{tag}",
                    f"PLACEHOLDER: {level.value} risk acceptance criteria are fulfilled",
                    f"S-RAC-{tag}",
                    f"PLACEHOLDER: argue that {level.value} criteria are defined, "
                    f"evaluated, and maintained",
                    [f"G-RAC-{tag}-{verb}" for verb, _ in verbs],
-                   acp=f"RAC-{tag}", roles={level_role})
+                   acp=f"RAC-{tag}", roles=(level_role,))
 
     b.backed_goal("G-SCEN-KNOWN",
                   "PLACEHOLDER: residual risk in known scenarios is sufficiently "
-                  "reduced", roles={RoleTag.KNOWN_SCENARIOS})
+                  "reduced", roles=(RoleTag.KNOWN_SCENARIOS,))
     b.backed_goal("G-SCEN-UNKNOWN",
                   "PLACEHOLDER: residual risk in unknown scenarios does not "
-                  "violate acceptance criteria", roles={RoleTag.UNKNOWN_SCENARIOS})
+                  "violate acceptance criteria", roles=(RoleTag.UNKNOWN_SCENARIOS,))
     b.backed_goal("G-HAZ",
                   "PLACEHOLDER: all identified hazards are eliminated or "
                   "sufficiently mitigated",
-                  roles={RoleTag.HAZARD_MANAGEMENT},
-                  traces=frozenset({"H-SAMPLE-1"}) if samples else frozenset())
+                  roles=(RoleTag.HAZARD_MANAGEMENT,),
+                  traces=("H-SAMPLE-1",) if samples else ())
     b.argument("G-PROD", "PLACEHOLDER: the vehicle does not pose unreasonable risk "
                "when operating in its operational design domain",
                "S-PROD", "PLACEHOLDER: argue over acceptance criteria and "
@@ -178,24 +178,24 @@ def scaffold_reference_model(opts: ScaffoldOptions | None = None) -> GsnModel:
     # Process branch, with conformance and compliance subordinated to it.
     b.backed_goal("G-CULTURE",
                   "PLACEHOLDER: a safety culture is established within the "
-                  "organization", roles={RoleTag.SAFETY_CULTURE})
+                  "organization", roles=(RoleTag.SAFETY_CULTURE,))
     b.backed_goal("G-LC-OP",
                   "PLACEHOLDER: operation processes cover post-deployment "
-                  "activities", roles={RoleTag.LIFECYCLE_OPERATION})
+                  "activities", roles=(RoleTag.LIFECYCLE_OPERATION,))
     b.backed_goal("G-LC-MAINT",
                   "PLACEHOLDER: maintenance processes keep the system and its "
                   "assumptions valid in the field",
-                  roles={RoleTag.LIFECYCLE_MAINTENANCE})
+                  roles=(RoleTag.LIFECYCLE_MAINTENANCE,))
     b.backed_goal("G-CFM",
                   "PLACEHOLDER: the development adheres to the selected "
                   "normative requirements",
                   argument_type=ArgumentType.CONFORMANCE,
-                  traces=frozenset({"NR-SAMPLE-1"}) if samples else frozenset())
+                  traces=("NR-SAMPLE-1",) if samples else ())
     b.backed_goal("G-CPL",
                   "PLACEHOLDER: the development adheres to applicable "
                   "regulatory requirements",
                   argument_type=ArgumentType.COMPLIANCE,
-                  traces=frozenset({"RR-SAMPLE-1"}) if samples else frozenset())
+                  traces=("RR-SAMPLE-1",) if samples else ())
     b.argument("G-PROC", "PLACEHOLDER: the organization is capable of developing "
                "and operating the system safely",
                "S-PROC", "PLACEHOLDER: argue over organizational culture, "

@@ -90,7 +90,7 @@ def check_wellformed(model: GsnModel) -> list[Finding]:
                 (element.id,), element.location))
 
         # WF9: artifact roles match the referencing element kind.
-        for artifact_id in sorted(element.artifacts):
+        for artifact_id in element.artifacts:
             artifact = model.artifact_index.get(artifact_id)
             if artifact is None:
                 findings.append(Finding(

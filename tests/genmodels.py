@@ -139,7 +139,10 @@ def big_model(n_elements: int = 10000, n_traces: int = 5000, seed: int = 7):
     goal_counter = 0
     product_children: list[str] = []
     process_children: list[str] = []
-    trace_goals: list[str] = []
+    # Trace links round-robin over hazards, gathered before the goals are built.
+    goal_traces: list[set[str]] = [set() for _ in range(n_groups)]
+    for t in range(n_traces):
+        goal_traces[t % n_groups].add(f"H{t % n_hazards}")
     for g in range(n_groups):
         gid = f"G{goal_counter}"
         goal_counter += 1
@@ -153,17 +156,8 @@ def big_model(n_elements: int = 10000, n_traces: int = 5000, seed: int = 7):
                                    supported_by=(sid,)))
         elements.append(GsnElement(
             gid, ElementKind.GOAL, "claim", supported_by=(strategy_id,),
-            roles=frozenset({RoleTag.HAZARD_MANAGEMENT})))
-        trace_goals.append(gid)
+            roles=frozenset({RoleTag.HAZARD_MANAGEMENT}), traces=goal_traces[g]))
         (product_children if g % 2 == 0 else process_children).append(gid)
-
-    # Attach trace links round-robin over hazards.
-    traced = 0
-    by_id = {e.id: e for e in elements}
-    while traced < n_traces:
-        goal = by_id[trace_goals[traced % len(trace_goals)]]
-        goal.traces = frozenset(goal.traces | {f"H{traced % n_hazards}"})
-        traced += 1
 
     elements.append(GsnElement("G-PRODUCT", ElementKind.GOAL, "product",
                                argument_type=ArgumentType.PRODUCT,

@@ -62,7 +62,7 @@ MUTATIONS: list[Mutation] = [
              lambda m: setattr(_element(m, "G-CNF-RISK"), "argument_type", None)),
     Mutation("R3", Severity.ERROR,
              "drop the trace link from the compliance goal to the regulatory item",
-             lambda m: setattr(_element(m, "G-CPL"), "traces", frozenset())),
+             lambda m: setattr(_element(m, "G-CPL"), "traces", ())),
     Mutation("R4", Severity.ERROR,
              "remove the selection rationale of the normative requirement",
              lambda m: setattr(m.registries.normative_requirements[0],
@@ -76,16 +76,16 @@ MUTATIONS: list[Mutation] = [
              lambda m: setattr(m.registries.hazards[0], "status", HazardStatus.OPEN)),
     Mutation("R7", Severity.ERROR,
              "strip the lifecycle-operation role from the operation goal",
-             lambda m: setattr(_element(m, "G-LC-OP"), "roles", frozenset())),
+             lambda m: setattr(_element(m, "G-LC-OP"), "roles", ())),
     Mutation("R8", Severity.ERROR,
              "strip the safety-culture role from the culture goal",
-             lambda m: setattr(_element(m, "G-CULTURE"), "roles", frozenset())),
+             lambda m: setattr(_element(m, "G-CULTURE"), "roles", ())),
     Mutation("R9", Severity.ERROR,
              "remove the dimension key from the odd context document",
              lambda m: setattr(m.artifact_index["A-CTX-odd"], "dimension", None)),
     Mutation("R10", Severity.ERROR,
              "strip the uncertainty-method role from the soundness branch",
-             lambda m: setattr(_element(m, "G-SND-UNC"), "roles", frozenset())),
+             lambda m: setattr(_element(m, "G-SND-UNC"), "roles", ())),
     Mutation("ST1", Severity.WARNING,
              "tag a contextualization solution as compliance, outside the process scope",
              lambda m: setattr(_element(m, "SN-CTX-operational_concept"),
@@ -93,15 +93,15 @@ MUTATIONS: list[Mutation] = [
     Mutation("D1", Severity.ERROR,
              "strip the rac-maintain role from the global maintenance goal",
              lambda m: setattr(_element(m, "G-RAC-GLOBAL-MAINTAIN"),
-                               "roles", frozenset())),
+                               "roles", ())),
     Mutation("D2", Severity.ERROR,
              "strip the known-scenarios role from the known-scenario goal",
-             lambda m: setattr(_element(m, "G-SCEN-KNOWN"), "roles", frozenset())),
+             lambda m: setattr(_element(m, "G-SCEN-KNOWN"), "roles", ())),
     Mutation("TL1", Severity.INFO,
              "reword the top claim without the key phrase",
              lambda m: setattr(_element(m, "G-TOP"), "text",
                                "PLACEHOLDER: the system is safe")),
     Mutation("EV1", Severity.ERROR,
              "drop the evidence artifact reference from the hazard solution",
-             lambda m: setattr(_element(m, "SN-HAZ"), "artifacts", frozenset())),
+             lambda m: setattr(_element(m, "SN-HAZ"), "artifacts", ())),
 ]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import gsnlint
 from gsnlint import cli
 from gsnlint.cli import main
 from gsnlint.parser import load_model
+from gsnlint.report import emit_findings
 
 from conftest import FIXTURES, diagnostics_envelope
 from dotcheck import parse_dot
@@ -157,6 +159,38 @@ class TestCheck:
             fixture("30a-scaffold-split-main.sac.yaml"),
             fixture("30b-scaffold-split-registries.sac.yaml")])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_the_model_is_freed_before_the_report_is_written(self, runner, monkeypatch, fmt):
+        """`check` keeps no reference to the model, and so none to its cached
+        views, while the report is rendered."""
+        models, freed = [], []
+
+        def load(*args, **kwargs):
+            model, diags = load_model(*args, **kwargs)
+            models.append(weakref.ref(model))
+            return model, diags
+
+        def emit(bundle, fmt):
+            freed.append(models[0]() is None)
+            return emit_findings(bundle, fmt)
+
+        monkeypatch.setattr(cli, "load_model", load)
+        monkeypatch.setattr(cli, "emit_findings", emit)
+        result = runner.invoke(main, ["check", "--format", fmt,
+                                      fixture("28-scaffold-default.sac.yaml")])
+        assert result.exit_code == 0, result.output
+        assert freed == [True]
+
+    def test_a_piped_document_reads_like_the_file(self):
+        """A pipe cannot be read twice, so it is read whole."""
+        path = fixture("22-root-only.sac.yaml")
+        piped = subprocess.run([sys.executable, "-m", "gsnlint.cli", "check", "/dev/stdin"],
+                               input=Path(path).read_bytes(), capture_output=True, timeout=60)
+        direct = subprocess.run([sys.executable, "-m", "gsnlint.cli", "check", path],
+                                capture_output=True, timeout=60)
+        assert (piped.returncode, piped.stdout, piped.stderr) == (1, direct.stdout, b"")
+        assert direct.returncode == 1 and b"ERROR" in direct.stdout
 
 
 class TestScaffold:

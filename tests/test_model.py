@@ -489,3 +489,33 @@ def test_records_are_slotted():
         TraceRow("H1", (), False), TraceMatrix("hazards", (), 1.0, True)]
     for record in records:
         assert "__slots__" in vars(type(record)) and not hasattr(record, "__dict__"), record
+
+
+class TestSetValuedFields:
+    """`roles`, `traces` and `artifacts` are sorted tuples holding each value once."""
+
+    @pytest.mark.parametrize("given", [
+        lambda: {"H2", "H1"}, lambda: frozenset({"H1", "H2"}), lambda: ["H2", "H1", "H2"],
+        lambda: ("H2", "H1"), lambda: ("H1", "H1", "H2"), lambda: iter(["H2", "H1"])],
+        ids=["set", "frozenset", "list", "unsorted", "repeated", "iterator"])
+    def test_hand_built_values_are_normalised(self, given):
+        element = goal("G1", traces=given(), artifacts=given(),
+                       roles=[RoleTag.SAFETY_CULTURE, RoleTag.GLOBAL_RAC, RoleTag.SAFETY_CULTURE])
+        assert element.traces == element.artifacts == ("H1", "H2")
+        assert element.roles == (RoleTag.GLOBAL_RAC, RoleTag.SAFETY_CULTURE)
+
+    def test_defaults_and_sorted_tuples_are_kept(self):
+        values = ("A1", "A2")
+        assert solution("SN1", artifacts=values).artifacts is values
+        empty = goal("G1", roles=set(), traces=[])
+        assert (empty.roles, empty.traces, empty.artifacts) == ((), (), ())
+
+    def test_equal_parent_lists_share_one_tuple(self):
+        model = link_model("m", modules=[GsnModule("a", [
+            goal("G1", supported_by=("S1",)), strategy("S1", supported_by=("G2", "G3")),
+            goal("G2", supported_by=("SN1",)), goal("G3", supported_by=("SN2",)),
+            solution("SN1"), solution("SN2")])])
+        parents = model.support_parents
+        assert parents["G2"] == ("S1",)
+        assert parents["G2"] is parents["G3"]
+        assert parents["G1"] == ()
